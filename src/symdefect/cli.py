@@ -301,12 +301,15 @@ def main(argv=None):
         _emit(rows, args)
         return 1 if any(row.failed for row in rows) else 0
 
-    config = AdaptiveConfig(
-        tol=args.tol,
-        tau_init=args.tau_max / 8.0,
-        tau_min=1e-10,
-        tau_max=args.tau_max,
-    )
+    try:
+        config = AdaptiveConfig(
+            tol=args.tol,
+            tau_init=args.tau_max / 8.0,
+            tau_min=1e-10,
+            tau_max=args.tau_max,
+        )
+    except ValueError as exc:
+        parser.error(f"invalid adaptive settings: {exc}")
     try:
         _, trace = run_adaptive(problem, method, config, args.t_end)
     except StepFailure as exc:

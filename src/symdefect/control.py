@@ -9,6 +9,7 @@ proportional step-size controller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -198,11 +199,11 @@ def reference_solve(
     """High-accuracy solution of the problem at t_end.
 
     When the problem knows a closed-form solution (and, for time-anchored
-    ones, u0 is the problem's own initial state), the closed form is
-    sampled; ``use_exact=False`` disables this shortcut. Otherwise the
-    interval is integrated with the highest-order available corrected
-    scheme, doubling the step count until two consecutive answers differ by
-    less than tol, and the finer answer is returned.
+    ones, u0 is the closed-form state at t0), the closed form is sampled;
+    ``use_exact=False`` disables this shortcut. Otherwise the interval is
+    integrated with the highest-order available corrected scheme, doubling
+    the step count until two consecutive answers differ by less than tol,
+    and the finer answer is returned.
     """
     u0 = np.asarray(u0, dtype=np.complex128)
     if t_end == t0:
@@ -213,7 +214,7 @@ def reference_solve(
         if (
             hasattr(problem, "exact_state")
             and getattr(problem, "initial", None) == "soliton"
-            and np.array_equal(u0, problem.initial_state())
+            and np.array_equal(u0, problem.exact_state(t0))
         ):
             return problem.exact_state(t_end)
     method = method or _default_reference_method(problem)
@@ -340,8 +341,11 @@ class StepRecord:
 def propose_step(tau, err, tol, order, config):
     """Next step size of the classic controller:
     tau * clamp(safety * (tol/err)^(1/(p+1)), ratio_min, ratio_max),
-    clamped into [tau_min, tau_max]."""
-    if err == 0.0:
+    clamped into [tau_min, tau_max]. A non-finite err shrinks by ratio_min,
+    so a step that keeps failing ends in the controller's stall check."""
+    if not math.isfinite(err):
+        ratio = config.ratio_min
+    elif err == 0.0:
         ratio = config.ratio_max
     else:
         ratio = config.safety * (tol / err) ** (1.0 / (order + 1))

@@ -123,12 +123,14 @@ def _check_final_stage(scheme):
 def splitting_defect_semilinear(scheme, problem, tau, u):
     """Symmetrized defect of a general splitting step, linear A-part.
 
-    The defect is accumulated alongside the solution: each stage first adds
-    the stage-weighted A-action (with the two boundary stages carrying an
-    extra -1/2), transports defect and state through the A-flow, then adds
-    the weighted B-term and transports the defect through the derivative of
-    the B-subflow. The leading -B(u)/2 and trailing -B(u)/2 terms close the
-    symmetrization. The final no-op B-stage (b_J = 0) is skipped.
+    The defect is accumulated alongside the solution: each stage transports
+    defect and state through the A-flow as one (2, n) stack, so
+    ``problem.flow_A`` must act row-wise on a stack; it then adds the
+    stage-weighted A-action of the transported state (with the two boundary
+    stages carrying an extra -1/2), adds the weighted B-term and transports
+    the defect through the derivative of the B-subflow. The leading -B(u)/2
+    and trailing -B(u)/2 terms close the symmetrization. The final no-op
+    B-stage (b_J = 0) is skipped.
     """
     _check_final_stage(scheme)
     u = np.asarray(u, dtype=np.complex128)
@@ -140,9 +142,9 @@ def splitting_defect_semilinear(scheme, problem, tau, u):
             weight -= 0.5
         if j == last:
             weight -= 0.5
+        # exp(tA)(d + w A u) = exp(tA) d + w A exp(tA) u
+        d, u = problem.flow_A(aj * tau, np.stack((d, u)))
         d = d + weight * problem.apply_A(u)
-        d = problem.flow_A(aj * tau, d)
-        u = problem.flow_A(aj * tau, u)
         if j < last:
             d = d + bj * problem.b(u)
             d = problem.dflow_B(bj * tau, u, d)

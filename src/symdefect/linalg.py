@@ -1,8 +1,9 @@
-"""Dense complex linear algebra and radix-2 FFT kernels.
+"""Dense complex linear algebra and power-of-two FFTs.
 
 Vectors are 1-d complex128 numpy arrays, matrices 2-d. All functions are
-pure; the FFT keeps a small cache of index/twiddle tables per length, which
-is filled idempotently and therefore safe under concurrent use.
+pure. The FFTs are numpy's, restricted to power-of-two lengths; they also
+transform each row of a 2-d stack, so a state and a tangent vector can
+share one call.
 """
 
 from __future__ import annotations
@@ -131,52 +132,23 @@ def kron(a, b):
     )
 
 
-_fft_plans: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
-
-
-def _plan(n):
-    plan = _fft_plans.get(n)
-    if plan is None:
-        bits = n.bit_length() - 1
-        idx = np.arange(n)
-        rev = np.zeros(n, dtype=np.intp)
-        for _ in range(bits):
-            rev = (rev << 1) | (idx & 1)
-            idx >>= 1
-        twiddles = [
-            np.exp(-1j * np.pi * np.arange(1 << s) / (1 << s)) for s in range(bits)
-        ]
-        plan = (rev, twiddles)
-        _fft_plans[n] = plan
-    return plan
-
-
-def _radix2(v, inverse):
+def _check_fft_input(v):
     a = np.asarray(v, dtype=np.complex128)
-    if a.ndim != 1:
-        raise ValueError("expected a 1-d vector")
-    n = a.shape[0]
+    if a.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a stack of rows, got shape {a.shape}")
+    n = a.shape[-1]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
-    rev, twiddles = _plan(n)
-    a = a[rev]
-    for tw in twiddles:
-        m = tw.shape[0]
-        w = np.conj(tw) if inverse else tw
-        blocks = a.reshape(-1, 2, m)
-        t = blocks[:, 1, :] * w
-        top = blocks[:, 0, :] + t
-        blocks[:, 1, :] = blocks[:, 0, :] - t
-        blocks[:, 0, :] = top
-        a = blocks.reshape(-1)
-    return a / n if inverse else a
+    return a
 
 
 def fft(v):
-    """Unnormalized forward DFT of a power-of-two length vector."""
-    return _radix2(v, inverse=False)
+    """Unnormalized forward DFT of a power-of-two length vector, or of each
+    row of a 2-d stack."""
+    return np.fft.fft(_check_fft_input(v))
 
 
 def ifft(v):
-    """Inverse DFT carrying the 1/n factor, so ifft(fft(v)) == v."""
-    return _radix2(v, inverse=True)
+    """Inverse DFT carrying the 1/n factor, so ifft(fft(v)) == v; row-wise
+    on a 2-d stack."""
+    return np.fft.ifft(_check_fft_input(v))

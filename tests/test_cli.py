@@ -202,3 +202,15 @@ class TestMain:
         trace = parse_csv(out.read_text(), StepRecord)
         accepted = [rec for rec in trace if rec.accepted]
         assert abs(math.fsum(rec.tau for rec in accepted) - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "setting", [["--tol", "-1"], ["--tau-max", "-0.5"]], ids=["tol", "tau-max"]
+    )
+    def test_invalid_adaptive_settings_are_usage_errors(self, setting, capsys):
+        argv = ["adaptive", "--problem", "toy-split", "--scheme", "strang", *setting]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid adaptive settings" in err
+        assert "Traceback" not in err

@@ -7,6 +7,7 @@ import pytest
 
 from symdefect.control import (
     AdaptiveConfig,
+    Method,
     StepOutput,
     adaptive_integrate,
     estimate_and_correct,
@@ -93,6 +94,16 @@ class TestReferenceSolve:
         prob = CubicNLS()
         out = reference_solve(prob, 0.0, 0.125, prob.initial_state())
         assert np.array_equal(out, prob.exact_state(0.125))
+
+    def test_nls_closed_form_anchored_at_t0(self):
+        # the soliton shortcut holds only for the soliton state at t0; the
+        # problem is autonomous, so the t = 0 soliton started at t0 = 1
+        # must land on the soliton at t = 0.01
+        prob = CubicNLS()
+        out = reference_solve(prob, 1.0, 1.01, prob.exact_state(1.0))
+        assert np.array_equal(out, prob.exact_state(1.01))
+        out = reference_solve(prob, 1.0, 1.01, prob.initial_state())
+        assert state_norm(prob, out - prob.exact_state(0.01)) <= 1e-10
 
     def test_toy_uses_closed_form(self):
         toy = ToySplit()
@@ -233,6 +244,20 @@ class TestController:
             )
             counts[tol] = sum(1 for rec in trace if rec.accepted)
         assert counts[1e-6] < counts[1e-8]
+
+    def test_nan_defect_raises(self):
+        toy = ToySplit()
+        trials = []
+
+        def nan_defect(problem, t0, tau, u):
+            trials.append(tau)
+            assert len(trials) < 1000, "controller does not terminate"
+            return u, np.full_like(u, np.nan)
+
+        method = Method("nan", 2, nan_defect, nan_defect)
+        cfg = AdaptiveConfig(tol=1e-6, tau_init=0.1, tau_min=1e-10, tau_max=0.5)
+        with pytest.raises(StepFailure):
+            adaptive_integrate(toy, method, cfg, 0.0, 1.0, toy.initial_state())
 
     def test_abort_when_floor_hit(self):
         prob = RosenZener(k=5)

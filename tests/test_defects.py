@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from symdefect.control import make_method
 from symdefect.defects import (
     cfm_bcheck,
     cfm_defect,
@@ -165,6 +166,27 @@ class TestGenericSplittingDefect:
         u = nls.initial_state()
         u_next, _ = splitting_defect_semilinear(EMB43AKS, nls, 0.03, u)
         assert np.array_equal(u_next, step_splitting(EMB43AKS, nls, 0.03, u))
+
+    def test_emb43_fft_budget(self, nls, monkeypatch):
+        # each A-stage moves defect and state through one stacked A-flow
+        # (one fft and one ifft) plus the A-action (one of each): 4 calls
+        # per stage, 5 stages
+        import symdefect.problems as problems
+
+        calls = []
+
+        def counted(transform):
+            def wrapper(v):
+                calls.append(transform.__name__)
+                return transform(v)
+
+            return wrapper
+
+        monkeypatch.setattr(problems, "fft", counted(problems.fft))
+        monkeypatch.setattr(problems, "ifft", counted(problems.ifft))
+        method = make_method("emb43aks")
+        method.step_with_defect(nls, 0.0, 0.03, nls.initial_state())
+        assert 0 < len(calls) <= 20
 
     def test_pure_a_part_is_exact(self):
         prob = BFreeSemilinear(CubicNLS(n=64))

@@ -185,3 +185,22 @@ class TestFFT:
             fft(np.ones(6))
         with pytest.raises(ValueError):
             ifft(np.ones(12))
+
+    @pytest.mark.parametrize("n", [1, 8, 512])
+    def test_stack_rows_match_vector_transform(self, n):
+        rng = np.random.default_rng(200 + n)
+        stack = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        for transform in (fft, ifft):
+            out = transform(stack)
+            assert out.shape == (2, n)
+            for row in range(2):
+                assert np.array_equal(out[row], transform(stack[row]))
+
+    def test_stack_guards(self):
+        for transform in (fft, ifft):
+            with pytest.raises(ValueError):
+                transform(np.ones((2, 6)))
+            with pytest.raises(ValueError):
+                transform(np.ones((2, 2, 4)))
+            with pytest.raises(ValueError):
+                transform(np.complex128(1.0))
