@@ -23,10 +23,8 @@ from .defects import (
     DefectOutput,
     cfm_bcheck,
     cfm_defect,
-    expmid_defect,
     imr_defect,
     magnus4_defect,
-    splitting_defect_nonlinear,
     splitting_defect_semilinear,
     strang_defect,
 )

@@ -24,9 +24,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .control import (
+    METHOD_NAMES,
     AdaptiveConfig,
     adaptive_integrate,
+    estimator_scale,
     make_method,
+    method_needs,
     reference_solve,
     state_norm,
 )
@@ -72,6 +75,13 @@ def dyadic_ladder(tau_max, levels):
     return [tau_max / 2.0**i for i in range(levels)]
 
 
+def _step_count(span, tau):
+    steps = round(span / tau)
+    if steps < 1 or abs(steps * tau - span) > 1e-9 * abs(span):
+        raise ValueError(f"interval length {span} is not a multiple of tau {tau}")
+    return steps
+
+
 def _order(tau_prev, val_prev, tau, val):
     if val_prev is None or not (val_prev > 0.0 and val > 0.0):
         return math.nan
@@ -87,7 +97,7 @@ def run_local_study(problem, method, tau_list, u0=None, t0=0.0, ref_tol=1e-12):
     for tau in tau_list:
         try:
             u_next, d = method.step_with_defect(problem, t0, tau, u0)
-            estimator = (tau / (method.order + 1)) * d
+            estimator = estimator_scale(tau, method.order) * d
             reference = reference_solve(problem, t0, t0 + tau, u0, tol=ref_tol)
             err = state_norm(problem, u_next - reference)
             dev = state_norm(problem, estimator - (u_next - reference))
@@ -123,13 +133,11 @@ def run_global_study(problem, method, tau_list, t_end, u0=None, t0=0.0, ref_tol=
     rows = []
     prev = None
     for tau in tau_list:
-        steps = round(span / tau)
-        if steps < 1 or abs(steps * tau - span) > 1e-9 * abs(span):
-            raise ValueError(f"interval length {span} is not a multiple of tau {tau}")
+        steps = _step_count(span, tau)
         try:
             plain = u0
             corrected = u0
-            factor = tau / (method.order + 1)
+            factor = estimator_scale(tau, method.order)
             for i in range(steps):
                 t = t0 + i * tau
                 plain = method.step(problem, t, tau, plain)
@@ -239,11 +247,7 @@ def _emit(rows, args):
 
 def _add_common(parser):
     parser.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
-    parser.add_argument(
-        "--scheme",
-        required=True,
-        choices=("imr", "strang", "emb43aks", "expmid", "cf4", "magnus4"),
-    )
+    parser.add_argument("--scheme", required=True, choices=METHOD_NAMES)
     parser.add_argument(
         "--defect",
         default="symmetrized",
@@ -258,6 +262,22 @@ def _add_common(parser):
     )
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", default="table", choices=("csv", "table"))
+
+
+def _check_settings(args, problem):
+    """Raise ValueError for settings no run can use; the adaptive
+    controller's config checks its own step bounds."""
+    needs = method_needs(args.scheme)
+    if not hasattr(problem, needs):
+        raise ValueError(f"scheme {args.scheme} needs {needs!r}, which {args.problem} lacks")
+    if args.command != "adaptive" and not 0.0 < args.tau_max < math.inf:
+        raise ValueError(f"--tau-max must be positive and finite, got {args.tau_max}")
+    if getattr(args, "levels", 1) < 1:
+        raise ValueError(f"--levels must be at least 1, got {args.levels}")
+    if not 0.0 < getattr(args, "t_end", 1.0) < math.inf:
+        raise ValueError(f"--t-end must be positive and finite, got {args.t_end}")
+    if args.command == "global":
+        _step_count(args.t_end, args.tau_max)
 
 
 def main(argv=None):
@@ -287,7 +307,11 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     problem = make_problem(args.problem)
-    method = make_method(args.scheme, defect=args.defect, variant=args.variant)
+    try:
+        _check_settings(args, problem)
+        method = make_method(args.scheme, defect=args.defect, variant=args.variant)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.command == "local":
         rows = run_local_study(problem, method, dyadic_ladder(args.tau_max, args.levels))

@@ -17,10 +17,8 @@ import numpy as np
 
 from .defects import (
     cfm_defect,
-    expmid_defect,
     imr_defect,
     magnus4_defect,
-    splitting_defect_nonlinear,
     splitting_defect_semilinear,
     strang_defect,
 )
@@ -28,9 +26,9 @@ from .errors import ConvergenceFailure, StepFailure
 from .schemes import (
     CF4,
     EMB43AKS,
+    EXPMID_AS_CFM,
     STRANG,
     step_cfm,
-    step_exp_midpoint,
     step_implicit_midpoint,
     step_magnus4,
     step_splitting,
@@ -39,10 +37,13 @@ from .schemes import (
 __all__ = [
     "StepOutput",
     "state_norm",
+    "estimator_scale",
     "estimate_and_correct",
     "Method",
     "make_method",
     "METHOD_NAMES",
+    "FAMILY_NEEDS",
+    "method_needs",
     "reference_solve",
     "local_error_integral_oracle",
     "AdaptiveConfig",
@@ -70,12 +71,17 @@ class StepOutput:
     u_corrected: Optional[np.ndarray] = None
 
 
+def estimator_scale(tau, order):
+    """Factor tau/(p+1) turning a defect into the local error estimate."""
+    return tau / (order + 1)
+
+
 def estimate_and_correct(step, order):
     """Attach the defect-based estimator tau/(p+1) * d and the corrected
     state u_next - estimator to a step that carries its defect."""
     if step.defect is None:
         raise ValueError("step carries no defect")
-    estimator = (step.tau / (order + 1)) * step.defect
+    estimator = estimator_scale(step.tau, order) * step.defect
     return replace(step, estimator=estimator, u_corrected=step.u_next - estimator)
 
 
@@ -93,7 +99,65 @@ class Method:
     step_with_defect: Callable
 
 
-METHOD_NAMES = ("imr", "strang", "emb43aks", "expmid", "cf4", "magnus4")
+#: Problem method each scheme family needs; a problem without it cannot
+#: run the family's schemes.
+FAMILY_NEEDS = {"implicit": "f", "splitting": "flow_B", "exponential": "A"}
+
+
+# A family's builder takes (tableau, defect, variant) and returns the pair
+# (step, step_with_defect), both taking (problem, t0, tau, u). The pair looks
+# the package functions up when called, so wrappers installed on the module
+# attributes see every call.
+
+
+def _implicit_midpoint(tableau, defect, variant):
+    return (
+        lambda p, t0, tau, u: step_implicit_midpoint(p, tau, u),
+        lambda p, t0, tau, u: imr_defect(p, tau, u, kind=defect),
+    )
+
+
+def _splitting(scheme, defect, variant):
+    def step_with_defect(p, t0, tau, u):
+        if defect == "classical":  # offered for Strang only
+            return strang_defect(p, tau, u, kind="classical")
+        return splitting_defect_semilinear(scheme, p, tau, u)
+
+    return lambda p, t0, tau, u: step_splitting(scheme, p, tau, u), step_with_defect
+
+
+def _cfm(scheme, defect, variant):
+    return (
+        lambda p, t0, tau, u: step_cfm(scheme, p, t0, tau, u),
+        lambda p, t0, tau, u: cfm_defect(scheme, p, t0, tau, u, variant=variant),
+    )
+
+
+def _magnus4(tableau, defect, variant):
+    return (
+        lambda p, t0, tau, u: step_magnus4(p, t0, tau, u),
+        lambda p, t0, tau, u: magnus4_defect(p, t0, tau, u, variant=variant),
+    )
+
+
+# name -> (family, builder, tableau, order, defect kinds)
+_BOTH, _SYM = ("classical", "symmetrized"), ("symmetrized",)
+_METHODS = {
+    "imr": ("implicit", _implicit_midpoint, None, 2, _BOTH),
+    "strang": ("splitting", _splitting, STRANG, STRANG.order, _BOTH),
+    "emb43aks": ("splitting", _splitting, EMB43AKS, EMB43AKS.order, _SYM),
+    "expmid": ("exponential", _cfm, EXPMID_AS_CFM, EXPMID_AS_CFM.order, _SYM),
+    "cf4": ("exponential", _cfm, CF4, CF4.order, _SYM),
+    "magnus4": ("exponential", _magnus4, None, 4, _SYM),
+}
+METHOD_NAMES = tuple(_METHODS)
+
+
+def method_needs(name):
+    """Problem method the family of scheme ``name`` needs."""
+    if name not in _METHODS:
+        raise ValueError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
+    return FAMILY_NEEDS[_METHODS[name][0]]
 
 
 def make_method(name, defect="symmetrized", variant="hermite"):
@@ -101,86 +165,25 @@ def make_method(name, defect="symmetrized", variant="hermite"):
 
     ``defect`` picks classical vs symmetrized where both exist (implicit
     midpoint, Strang); ``variant`` picks the Taylor vs Hermite evaluation
-    for the exponential integrators. Splitting methods route to the
-    semilinear defect algorithm when the problem exposes a linear A-part
-    (``apply_A``) and to the general nonlinear one otherwise.
+    for the exponential integrators and is checked, but unused, for the
+    others. Every scheme of a family runs through the family's one stepper
+    and one defect evaluator.
     """
-    if name == "imr":
-        return Method(
-            "imr",
-            2,
-            lambda problem, t0, tau, u: step_implicit_midpoint(problem, tau, u),
-            lambda problem, t0, tau, u: imr_defect(problem, tau, u, kind=defect),
-        )
-    if name == "strang":
-
-        def strang_swd(problem, t0, tau, u):
-            if defect == "symmetrized" and not hasattr(problem, "apply_A"):
-                return splitting_defect_nonlinear(STRANG, problem, tau, u)
-            return strang_defect(problem, tau, u, kind=defect)
-
-        return Method(
-            "strang",
-            2,
-            lambda problem, t0, tau, u: step_splitting(STRANG, problem, tau, u),
-            strang_swd,
-        )
-    if name == "emb43aks":
-        if defect != "symmetrized":
-            raise ValueError("only the symmetrized defect is available for emb43aks")
-
-        def emb_swd(problem, t0, tau, u):
-            if hasattr(problem, "apply_A"):
-                return splitting_defect_semilinear(EMB43AKS, problem, tau, u)
-            return splitting_defect_nonlinear(EMB43AKS, problem, tau, u)
-
-        return Method(
-            "emb43aks",
-            4,
-            lambda problem, t0, tau, u: step_splitting(EMB43AKS, problem, tau, u),
-            emb_swd,
-        )
-    if name == "expmid":
-        if defect != "symmetrized":
-            raise ValueError("only the symmetrized defect is available for expmid")
-        return Method(
-            "expmid",
-            2,
-            lambda problem, t0, tau, u: step_exp_midpoint(problem, t0, tau, u),
-            lambda problem, t0, tau, u: expmid_defect(problem, t0, tau, u),
-        )
-    if name == "cf4":
-        if defect != "symmetrized":
-            raise ValueError("only the symmetrized defect is available for cf4")
-        return Method(
-            "cf4",
-            4,
-            lambda problem, t0, tau, u: step_cfm(CF4, problem, t0, tau, u),
-            lambda problem, t0, tau, u: cfm_defect(
-                CF4, problem, t0, tau, u, variant=variant
-            ),
-        )
-    if name == "magnus4":
-        if defect != "symmetrized":
-            raise ValueError("only the symmetrized defect is available for magnus4")
-        return Method(
-            "magnus4",
-            4,
-            lambda problem, t0, tau, u: step_magnus4(problem, t0, tau, u),
-            lambda problem, t0, tau, u: magnus4_defect(
-                problem, t0, tau, u, variant=variant
-            ),
-        )
-    raise ValueError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
+    method_needs(name)  # rejects an unknown name
+    _, build, tableau, order, kinds = _METHODS[name]
+    if defect not in kinds:
+        raise ValueError(f"defect {defect!r} is not available for {name}; use {kinds}")
+    if variant not in ("taylor", "hermite"):
+        raise ValueError(f"variant must be 'taylor' or 'hermite', got {variant!r}")
+    return Method(name, order, *build(tableau, defect, variant))
 
 
 def _default_reference_method(problem):
     # highest-order corrected scheme the problem's interface supports
-    if hasattr(problem, "A"):
-        return make_method("magnus4", variant="hermite")
-    if hasattr(problem, "flow_B"):
-        return make_method("emb43aks")
-    return make_method("imr")
+    for name in ("magnus4", "emb43aks", "imr"):
+        if hasattr(problem, method_needs(name)):
+            return make_method(name)
+    raise ValueError(f"a problem needs one of {sorted(FAMILY_NEEDS.values())}")
 
 
 def corrected_run(problem, method, t0, t_end, u0, steps):
@@ -189,7 +192,7 @@ def corrected_run(problem, method, t0, t_end, u0, steps):
     u = np.asarray(u0, dtype=np.complex128)
     for i in range(steps):
         u_next, d = method.step_with_defect(problem, t0 + i * tau, tau, u)
-        u = u_next - (tau / (method.order + 1)) * d
+        u = u_next - estimator_scale(tau, method.order) * d
     return u
 
 
@@ -326,7 +329,7 @@ class AdaptiveConfig:
             raise ValueError("need 0 < ratio_min < 1 < ratio_max")
         if not self.tau_min <= self.tau_init <= self.tau_max:
             raise ValueError("need tau_min <= tau_init <= tau_max")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
 
 
@@ -357,9 +360,10 @@ def adaptive_integrate(problem, method, config, t0, t_end, u0):
     """Adaptive integration from t0 to t_end.
 
     Each trial step is accepted when the estimator norm is at most tol and
-    redone with the proposed smaller step otherwise; the final step is
-    clamped to land on t_end exactly. Returns the final state and the full
-    trace of trial steps.
+    redone with the proposed smaller step otherwise; a trial step that
+    raises :class:`StepFailure` counts as rejected with an infinite
+    estimate. The final step is clamped to land on t_end exactly. Returns
+    the final state and the full trace of trial steps.
     """
     u = np.asarray(u0, dtype=np.complex128)
     records = []
@@ -369,8 +373,12 @@ def adaptive_integrate(problem, method, config, t0, t_end, u0):
     span = abs(t_end - t0)
     while t < t_end - 1e-14 * span:
         tau = min(tau, t_end - t)
-        u_next, d = method.step_with_defect(problem, t, tau, u)
-        err = state_norm(problem, (tau / (method.order + 1)) * d)
+        try:
+            u_next, d = method.step_with_defect(problem, t, tau, u)
+        except StepFailure:
+            err = math.inf
+        else:
+            err = state_norm(problem, estimator_scale(tau, method.order) * d)
         accepted = err <= config.tol
         records.append(StepRecord(t, tau, err, accepted))
         tau_next = propose_step(tau, err, config.tol, method.order, config)

@@ -12,9 +12,7 @@ import numpy as np
 
 __all__ = [
     "expm",
-    "expm_apply",
     "commutator",
-    "ad_power",
     "kron",
     "fft",
     "ifft",
@@ -88,21 +86,6 @@ def expm(m):
     return f
 
 
-def expm_apply(m, v):
-    """Action of the matrix exponential, expm(m) @ v.
-
-    Forms the full exponential; the matrices handled here are small dense
-    ones, so this beats a Krylov approach in simplicity and robustness.
-    """
-    a = _as_square(m)
-    vec = np.asarray(v, dtype=np.complex128)
-    if vec.shape != (a.shape[0],):
-        raise ValueError(
-            f"dimension mismatch: matrix is {a.shape}, vector has shape {vec.shape}"
-        )
-    return expm(a) @ vec
-
-
 def commutator(a, b):
     """Matrix commutator a @ b - b @ a."""
     a = _as_square(a, "first argument")
@@ -110,19 +93,6 @@ def commutator(a, b):
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def ad_power(b, x, m):
-    """Iterated commutator ad_b^m(x): x for m == 0, [b, ad_b^(m-1)(x)] else."""
-    if m < 0:
-        raise ValueError("power must be non-negative")
-    b = _as_square(b, "first argument")
-    out = _as_square(x, "second argument")
-    if b.shape != out.shape:
-        raise ValueError(f"dimension mismatch: {b.shape} vs {out.shape}")
-    for _ in range(m):
-        out = b @ out - out @ b
-    return out
 
 
 def kron(a, b):

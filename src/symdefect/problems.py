@@ -206,12 +206,13 @@ class RosenZener:
 class ToySplit:
     """Scalar u' = lam*u + mu*u^2 with exactly solvable subflows.
 
-    The linear part has flow exp(lam*t) u, the quadratic part
-    u / (1 - mu*t*u). Both the semilinear interface (apply_A plus linear
-    flow transport) and the general split interface (a, dflow_A) are
-    provided; the exact solution of the full equation is available through
-    :meth:`exact_solution`. State vectors have length one so the problem
-    plugs into the same machinery as the PDE discretizations.
+    The linear part A u = lam*u has flow exp(lam*t) u (row-wise on a stack
+    by broadcasting), the quadratic part B(u) = mu*u^2 the flow
+    u / (1 - mu*t*u); together they form the semilinear splitting
+    interface (apply_A, flow_A, b, flow_B, dflow_B). The exact solution of
+    the full equation is available through :meth:`exact_solution`. State
+    vectors have length one so the problem plugs into the same machinery as
+    the PDE discretizations.
     """
 
     norm_weight = 1.0
@@ -222,16 +223,11 @@ class ToySplit:
 
     # -- linear subflow (A part) ---------------------------------------------
 
-    def a(self, u):
+    def apply_A(self, u):
         return self.lam * u
-
-    apply_A = a
 
     def flow_A(self, t, u):
         return np.exp(self.lam * t) * u
-
-    def dflow_A(self, t, u, v):
-        return np.exp(self.lam * t) * v
 
     # -- quadratic subflow (B part) -------------------------------------------
 

@@ -23,7 +23,6 @@ __all__ = [
     "EXPMID_AS_CFM",
     "GAUSS2_NODES",
     "step_implicit_midpoint",
-    "solve_implicit_midpoint",
     "step_splitting",
     "step_exp_midpoint",
     "step_cfm",
@@ -132,8 +131,9 @@ def solve_linearized(df, base, tau, rhs):
     return sol[:n] + 1j * sol[n:]
 
 
-def solve_implicit_midpoint(problem, tau, u, tol=1e-13, max_iter=25):
-    """Newton solve of w = u + tau F((u + w)/2); returns w.
+def step_implicit_midpoint(problem, tau, u, tol=1e-13, max_iter=25):
+    """Implicit midpoint rule, second order, self-adjoint: Newton solve of
+    w = u + tau F((u + w)/2); returns w.
 
     Initial guess is the explicit Euler predictor u + tau F(u); the exact
     Jacobian I - (tau/2) F' is applied through problem.df.
@@ -154,11 +154,6 @@ def solve_implicit_midpoint(problem, tau, u, tol=1e-13, max_iter=25):
     )
 
 
-def step_implicit_midpoint(problem, tau, u, tol=1e-13, max_iter=25):
-    """Implicit midpoint rule, second order, self-adjoint."""
-    return solve_implicit_midpoint(problem, tau, u, tol=tol, max_iter=max_iter)
-
-
 def step_splitting(scheme, problem, tau, u):
     """One step of a splitting composition, A-flow first."""
     u = np.asarray(u, dtype=np.complex128)
@@ -172,10 +167,7 @@ def step_splitting(scheme, problem, tau, u):
 
 def step_exp_midpoint(problem, t0, tau, u):
     """Exponential midpoint rule exp(tau A(t0 + tau/2)) u, second order."""
-    u = np.asarray(u, dtype=np.complex128)
-    if tau == 0.0:
-        return u.copy()
-    return expm(tau * problem.A(t0 + 0.5 * tau)) @ u
+    return step_cfm(EXPMID_AS_CFM, problem, t0, tau, u)
 
 
 def cfm_stage_generators(scheme, problem, t0, tau):

@@ -53,6 +53,46 @@ def fd_slope(apply_deriv, func, u, v, epsilons=(1e-3, 1e-4, 1e-5)):
     return fit_slope(epsilons, residuals)
 
 
+def expm_skew_hermitian(a):
+    """exp(a) for skew-Hermitian a, from the eigendecomposition of i*a."""
+    lam, q = np.linalg.eigh(1j * np.asarray(a))  # a = -i q diag(lam) q^H
+    return (q * np.exp(-1j * lam)) @ q.conj().T
+
+
+def expmid_step(problem, t0, tau, u):
+    """Exponential midpoint rule exp(tau A(t0 + tau/2)) u, skew-Hermitian A."""
+    return expm_skew_hermitian(tau * problem.A(t0 + 0.5 * tau)) @ u
+
+
+def expmid_defect(problem, t0, tau, u):
+    """Exact symmetrized defect of the exponential midpoint rule, no A':
+
+        d = (A(t0 + tau/2) - A(t0 + tau)/2) S u - S A(t0) u / 2
+
+    with S = exp(tau A(t0 + tau/2)), A skew-Hermitian."""
+    propagator = expm_skew_hermitian(tau * problem.A(t0 + 0.5 * tau))
+    u_next = propagator @ u
+    a_mid, a_end = problem.A(t0 + 0.5 * tau), problem.A(t0 + tau)
+    return (a_mid - 0.5 * a_end) @ u_next - 0.5 * (propagator @ (problem.A(t0) @ u))
+
+
+def strang_symmetrized_defect(problem, tau, u):
+    """Closed-form symmetrized defect of Strang splitting for
+    u' = A u + B(u), from the problem's exact subflows: with
+    v1 = exp(tau A/2) u, v2 = E_B(tau, v1) and w = exp(tau A/2) v2,
+
+        d = exp(tau A/2) (B(v2) - dE_B(tau, v1) . (exp(tau A/2) B(u)) / 2)
+            - B(w) / 2
+
+    Returns (w, d)."""
+    half = 0.5 * tau
+    v1 = problem.flow_A(half, u)
+    v2 = problem.flow_B(tau, v1)
+    w = problem.flow_A(half, v2)
+    transported = problem.dflow_B(tau, v1, problem.flow_A(half, problem.b(u)))
+    return w, problem.flow_A(half, problem.b(v2) - 0.5 * transported) - 0.5 * problem.b(w)
+
+
 class ScalarQuadratic:
     """u' = -u^2, componentwise; exact flow u0 / (1 + t*u0)."""
 

@@ -214,3 +214,52 @@ class TestMain:
         err = capsys.readouterr().err
         assert "invalid adaptive settings" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["local", "--problem", "rosen-zener", "--scheme", "imr"],
+            ["local", "--problem", "rosen-zener", "--scheme", "strang"],
+            ["local", "--problem", "toy-split", "--scheme", "cf4"],
+        ],
+        ids=["implicit", "splitting", "exponential"],
+    )
+    def test_scheme_problem_mismatch_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"scheme {argv[4]} needs" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["global", "--tau-max", "0"],
+            ["global", "--tau-max", "0.3", "--t-end", "1.0"],
+            ["global", "--t-end", "nan"],
+            ["local", "--tau-max", "0"],
+            ["local", "--tau-max", "inf"],
+            ["local", "--levels", "-2"],
+            ["global", "--levels", "0"],
+            ["adaptive", "--t-end", "-1"],
+        ],
+        ids=[
+            "global-tau-max-zero",
+            "global-incommensurate",
+            "global-t-end-nan",
+            "local-tau-max-zero",
+            "local-tau-max-inf",
+            "local-levels-negative",
+            "global-levels-zero",
+            "adaptive-t-end-negative",
+        ],
+    )
+    def test_invalid_numbers_are_usage_errors(self, argv, capsys):
+        command, *settings = argv
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--problem", "toy-split", "--scheme", "strang", *settings])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error:" in err.splitlines()[-1]

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdefect.control import (
+    METHOD_NAMES,
     AdaptiveConfig,
     Method,
     StepOutput,
@@ -13,6 +16,7 @@ from symdefect.control import (
     estimate_and_correct,
     local_error_integral_oracle,
     make_method,
+    method_needs,
     propose_step,
     reference_solve,
     state_norm,
@@ -72,6 +76,35 @@ class TestMakeMethod:
             ("magnus4", 4),
         ]:
             assert make_method(name).order == order
+
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_bad_defect_or_variant_fails_at_build(self, name):
+        with pytest.raises(ValueError):
+            make_method(name, defect="bogus")
+        with pytest.raises(ValueError):
+            make_method(name, variant="x")
+
+    @pytest.mark.parametrize(
+        "name,defect,variant",
+        [
+            (name, defect, variant)
+            for name in METHOD_NAMES
+            for defect in ("classical", "symmetrized")
+            for variant in ("taylor", "hermite")
+            if defect == "symmetrized" or name in ("imr", "strang")
+        ],
+    )
+    def test_step_with_defect_keeps_the_plain_step(self, name, defect, variant):
+        # one problem per family, picked by the interface the family needs
+        problem = {
+            "f": ToySplit(),
+            "flow_B": CubicNLS(n=64),
+            "A": RosenZener(k=5),
+        }[method_needs(name)]
+        method = make_method(name, defect=defect, variant=variant)
+        u0 = problem.initial_state()
+        u_next, _ = method.step_with_defect(problem, 0.1, 0.05, u0)
+        assert np.array_equal(u_next, method.step(problem, 0.1, 0.05, u0))
 
 
 class TestStateNorm:
@@ -259,9 +292,76 @@ class TestController:
         with pytest.raises(StepFailure):
             adaptive_integrate(toy, method, cfg, 0.0, 1.0, toy.initial_state())
 
+    def test_failed_trial_is_a_rejection(self):
+        toy = ToySplit()
+
+        def fragile(problem, t0, tau, u):
+            if tau > 0.05:
+                raise StepFailure("step too large")
+            return u, np.zeros_like(u)
+
+        method = Method("fragile", 2, fragile, fragile)
+        cfg = AdaptiveConfig(tol=1e-6, tau_init=0.1, tau_min=1e-10, tau_max=0.5)
+        _, trace = adaptive_integrate(toy, method, cfg, 0.0, 1.0, toy.initial_state())
+        accepted = [rec for rec in trace if rec.accepted]
+        rejected = [rec for rec in trace if not rec.accepted]
+        assert abs(math.fsum(rec.tau for rec in accepted) - 1.0) <= 1e-12
+        assert rejected
+        assert all(rec.est_norm == math.inf and rec.tau > 0.05 for rec in rejected)
+
+    def test_always_failing_trial_raises(self):
+        toy = ToySplit()
+        trials = []
+
+        def broken(problem, t0, tau, u):
+            trials.append(tau)
+            assert len(trials) < 100, "controller does not give up"
+            raise StepFailure("pole")
+
+        method = Method("broken", 2, broken, broken)
+        cfg = AdaptiveConfig(tol=1e-6, tau_init=0.1, tau_min=1e-10, tau_max=0.5)
+        with pytest.raises(StepFailure):
+            adaptive_integrate(toy, method, cfg, 0.0, 1.0, toy.initial_state())
+
     def test_abort_when_floor_hit(self):
         prob = RosenZener(k=5)
         method = make_method("expmid")
         cfg = AdaptiveConfig(tol=1e-30, tau_init=1e-3, tau_min=1e-3, tau_max=0.2)
         with pytest.raises(StepFailure):
             adaptive_integrate(prob, method, cfg, 0.0, 1.0, prob.initial_state())
+
+
+# a scripted defect value, or "raise" for a trial step that fails
+_DEFECTS = st.one_of(
+    st.floats(min_value=-1e100, max_value=1e100),
+    st.sampled_from([math.nan, math.inf, -math.inf, "raise"]),
+)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(script=st.lists(_DEFECTS, max_size=80), tau_init=st.floats(1e-3, 0.5))
+def test_controller_terminates_on_any_defect_sequence(script, tau_init):
+    # the scripted trials come first; after them every defect is zero, so a
+    # controller that cannot hang finishes within a few dozen more trials
+    toy = ToySplit()
+    pending = list(script)
+    trials = []
+
+    def scripted(problem, t0, tau, u):
+        trials.append(tau)
+        assert len(trials) <= len(script) + 50, "controller does not terminate"
+        value = pending.pop(0) if pending else 0.0
+        if value == "raise":
+            raise StepFailure("scripted failure")
+        return u, np.full_like(u, value)
+
+    method = Method("scripted", 2, scripted, scripted)
+    cfg = AdaptiveConfig(tol=1e-6, tau_init=tau_init, tau_min=1e-10, tau_max=0.5)
+    try:
+        _, trace = adaptive_integrate(toy, method, cfg, 0.0, 1.0, toy.initial_state())
+    except StepFailure:
+        return
+    accepted = [rec for rec in trace if rec.accepted]
+    assert abs(math.fsum(rec.tau for rec in accepted) - 1.0) <= 1e-12
+    assert all(rec.est_norm <= cfg.tol for rec in accepted)

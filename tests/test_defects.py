@@ -7,11 +7,9 @@ from symdefect.control import make_method
 from symdefect.defects import (
     cfm_bcheck,
     cfm_defect,
-    expmid_defect,
     imr_defect,
     magnus4_bcheck,
     magnus4_defect,
-    splitting_defect_nonlinear,
     splitting_defect_semilinear,
     strang_defect,
 )
@@ -35,10 +33,12 @@ from oracles import (
     LinearScalar,
     ScalarQuadratic,
     ZeroField,
+    expmid_defect,
     fit_slope,
     pair_orders,
     random_skew_hermitian,
     random_state,
+    strang_symmetrized_defect,
 )
 
 
@@ -136,9 +136,10 @@ class TestStrangDefect:
             assert np.array_equal(u_next, plain)
 
     def test_matches_generic_algorithm(self, nls):
+        # the general stage loop on STRANG against Strang's closed form
         u = nls.initial_state()
-        u_direct, d_direct = strang_defect(nls, 0.02, u, kind="symmetrized")
-        u_gen, d_gen = splitting_defect_semilinear(STRANG, nls, 0.02, u)
+        u_gen, d_gen = strang_defect(nls, 0.02, u, kind="symmetrized")
+        u_direct, d_direct = strang_symmetrized_defect(nls, 0.02, u)
         assert np.array_equal(u_direct, u_gen)
         assert np.linalg.norm(d_direct - d_gen) <= 1e-13
 
@@ -195,27 +196,17 @@ class TestGenericSplittingDefect:
         _, d = splitting_defect_semilinear(EMB43AKS, prob, 0.2, u)
         assert np.linalg.norm(d) <= 1e-12
 
-    def test_nonlinear_path_matches_semilinear_on_linear_a(self):
-        toy = ToySplit()
-        u = np.array([0.9 + 0.3j])
-        for scheme in (STRANG, EMB43AKS):
-            u_semi, d_semi = splitting_defect_semilinear(scheme, toy, 0.08, u)
-            u_non, d_non = splitting_defect_nonlinear(scheme, toy, 0.08, u)
-            assert np.array_equal(u_semi, u_non)
-            assert np.linalg.norm(d_semi - d_non) <= 1e-13 * max(
-                1.0, np.linalg.norm(d_semi)
-            )
-
     def test_nonlinear_u_next_matches_plain_step(self):
+        # ToySplit's B-part is quadratic; its A-part broadcasts over the stack
         toy = ToySplit()
         u = np.array([0.7 - 0.2j])
-        u_next, _ = splitting_defect_nonlinear(EMB43AKS, toy, 0.05, u)
+        u_next, _ = splitting_defect_semilinear(EMB43AKS, toy, 0.05, u)
         assert np.array_equal(u_next, step_splitting(EMB43AKS, toy, 0.05, u))
 
     def test_fixed_point_has_zero_defect(self):
         toy = ToySplit()
         z = np.zeros(1, dtype=np.complex128)
-        _, d = splitting_defect_nonlinear(STRANG, toy, 0.1, z)
+        _, d = splitting_defect_semilinear(STRANG, toy, 0.1, z)
         assert np.linalg.norm(d) == 0.0
 
     def test_toy_deviation_order_five(self):
@@ -224,7 +215,7 @@ class TestGenericSplittingDefect:
         taus = [0.1 / 2**i for i in range(5)]
         devs = []
         for tau in taus:
-            u_next, d = splitting_defect_nonlinear(STRANG, toy, tau, u)
+            u_next, d = splitting_defect_semilinear(STRANG, toy, tau, u)
             exact = toy.exact_solution(tau, u)
             devs.append(np.linalg.norm((tau / 3.0) * d - (u_next - exact)))
         assert abs(pair_orders(taus, devs)[-1] - 5.0) <= 0.15
@@ -250,12 +241,13 @@ class TestExpmidDefect:
         rng = np.random.default_rng(2)
         prob = ConstantLinear(random_skew_hermitian(rng, 6))
         u = random_state(rng, 6)
-        _, d = expmid_defect(prob, 0.0, 0.3, u)
-        assert np.linalg.norm(d) <= 1e-13
+        for variant in ("taylor", "hermite"):
+            _, d = cfm_defect(EXPMID_AS_CFM, prob, 0.0, 0.3, u, variant=variant)
+            assert np.linalg.norm(d) <= 1e-13
 
     def test_u_next_matches_plain_step(self, zener):
         u = zener.initial_state()
-        u_next, _ = expmid_defect(zener, 0.0, 0.1, u)
+        u_next, _ = cfm_defect(EXPMID_AS_CFM, zener, 0.0, 0.1, u)
         assert np.array_equal(u_next, step_exp_midpoint(zener, 0.0, 0.1, u))
 
     @pytest.mark.parametrize("variant", ["taylor", "hermite"])
@@ -263,7 +255,7 @@ class TestExpmidDefect:
         # one midpoint node makes Bcheck vanish, so the generic machinery
         # collapses to the exact midpoint defect
         u = zener.initial_state()
-        _, d_exact = expmid_defect(zener, 0.0, 0.1, u)
+        d_exact = expmid_defect(zener, 0.0, 0.1, u)
         _, d_cfm = cfm_defect(EXPMID_AS_CFM, zener, 0.0, 0.1, u, variant=variant)
         assert np.linalg.norm(d_exact - d_cfm) <= 1e-12 * np.linalg.norm(d_exact)
 

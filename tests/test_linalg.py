@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symdefect.linalg import ad_power, commutator, expm, expm_apply, fft, ifft, kron
+from symdefect.linalg import commutator, expm, fft, ifft, kron
 
 from oracles import naive_dft, random_skew_hermitian
 
@@ -65,26 +65,6 @@ class TestExpm:
             expm(np.zeros((2, 3)))
 
 
-class TestExpmApply:
-    def test_zero(self):
-        v = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
-        assert np.linalg.norm(expm_apply(np.zeros((3, 3)), v) - v) <= 1e-14
-
-    def test_pauli_rotation(self):
-        theta = 0.3
-        result = expm_apply(1j * theta * SIGMA1, np.array([1.0, 0.0]))
-        expected = np.array([np.cos(theta), 1j * np.sin(theta)])
-        assert np.linalg.norm(result - expected) < 1e-14
-
-    def test_diagonal(self):
-        result = expm_apply(np.diag([np.log(2.0), np.log(3.0)]), np.ones(2))
-        assert np.allclose(result, [2.0, 3.0], rtol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            expm_apply(np.zeros((2, 2)), np.ones(3))
-
-
 class TestCommutators:
     def test_self_commutes(self):
         rng = np.random.default_rng(0)
@@ -104,34 +84,6 @@ class TestCommutators:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             commutator(np.eye(2), np.eye(3))
-
-    def test_ad_power_base_cases(self):
-        rng = np.random.default_rng(2)
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.array_equal(ad_power(b, x, 0), x)
-        assert np.array_equal(ad_power(b, x, 1), commutator(b, x))
-
-    def test_ad_power_pauli(self):
-        # nested Pauli commutators, verified by direct multiplication
-        direct = commutator(SIGMA1, commutator(SIGMA1, SIGMA2))
-        assert np.array_equal(ad_power(SIGMA1, SIGMA2, 2), direct)
-        assert np.linalg.norm(direct - 4.0 * SIGMA2) < 1e-15
-
-    def test_ad_power_linearity(self):
-        rng = np.random.default_rng(5)
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        alpha, beta = 1.3 - 0.2j, -0.7 + 0.9j
-        for m in range(4):
-            combined = ad_power(b, alpha * x + beta * y, m)
-            split = alpha * ad_power(b, x, m) + beta * ad_power(b, y, m)
-            assert np.linalg.norm(combined - split) <= 1e-12 * np.linalg.norm(split)
-
-    def test_negative_power_raises(self):
-        with pytest.raises(ValueError):
-            ad_power(SIGMA1, SIGMA2, -1)
 
 
 class TestKron:

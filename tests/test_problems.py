@@ -167,8 +167,10 @@ class TestToySplit:
         toy = ToySplit()
         u = np.array([1.2 + 0.1j])
         v = np.array([0.9 - 0.6j])
-        # linear subflow: derivative is the flow itself, exactly
-        assert np.array_equal(toy.dflow_A(0.2, u, v), np.exp(toy.lam * 0.2) * v)
+        # linear part: A u = lam u, and its flow transports a stack row-wise
+        assert np.array_equal(toy.apply_A(u), toy.lam * u)
+        stack = toy.flow_A(0.2, np.stack((u, v)))
+        assert np.array_equal(stack[1], toy.flow_A(0.2, v))
         slope_b = fd_slope(
             lambda a, b: toy.dflow_B(0.8, a, b), lambda a: toy.flow_B(0.8, a), u, v
         )
