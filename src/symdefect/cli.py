@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -88,37 +89,40 @@ def _order(tau_prev, val_prev, tau, val):
     return math.log(val_prev / val) / math.log(tau_prev / tau)
 
 
+def _ladder(row_type, tau_list, measure):
+    """Rows of a ladder study: ``measure(tau)`` returns the two measured
+    norms, whose observed orders come from the previous row. A StepFailure
+    gives a failed NaN row and restarts the orders."""
+    rows = []
+    prev = (None, None, None)
+    for tau in tau_list:
+        try:
+            first, second = measure(tau)
+        except StepFailure:
+            rows.append(row_type(tau, math.nan, math.nan, math.nan, math.nan, True))
+            prev = (None, None, None)
+            continue
+        p_tau, p_first, p_second = prev
+        first_order = _order(p_tau, p_first, tau, first)
+        second_order = _order(p_tau, p_second, tau, second)
+        rows.append(row_type(tau, first, first_order, second, second_order))
+        prev = (tau, first, second)
+    return rows
+
+
 def run_local_study(problem, method, tau_list, u0=None, t0=0.0, ref_tol=1e-12):
     """One step per ladder level: local error against the reference solution
     and deviation of the defect-based estimator from that error."""
     u0 = problem.initial_state() if u0 is None else np.asarray(u0, np.complex128)
-    rows = []
-    prev = None
-    for tau in tau_list:
-        try:
-            u_next, d = method.step_with_defect(problem, t0, tau, u0)
-            estimator = estimator_scale(tau, method.order) * d
-            reference = reference_solve(problem, t0, t0 + tau, u0, tol=ref_tol)
-            err = state_norm(problem, u_next - reference)
-            dev = state_norm(problem, estimator - (u_next - reference))
-        except StepFailure:
-            rows.append(ConvergenceRow(tau, math.nan, math.nan, math.nan, math.nan, True))
-            prev = None
-            continue
-        if prev is None:
-            rows.append(ConvergenceRow(tau, err, math.nan, dev, math.nan))
-        else:
-            rows.append(
-                ConvergenceRow(
-                    tau,
-                    err,
-                    _order(prev[0], prev[1], tau, err),
-                    dev,
-                    _order(prev[0], prev[2], tau, dev),
-                )
-            )
-        prev = (tau, err, dev)
-    return rows
+
+    def measure(tau):
+        u_next, d = method.step_with_defect(problem, t0, tau, u0)
+        estimator = estimator_scale(tau, method.order) * d
+        reference = reference_solve(problem, t0, t0 + tau, u0, tol=ref_tol)
+        err = state_norm(problem, u_next - reference)
+        return err, state_norm(problem, estimator - (u_next - reference))
+
+    return _ladder(ConvergenceRow, tau_list, measure)
 
 
 def run_global_study(problem, method, tau_list, t_end, u0=None, t0=0.0, ref_tol=1e-12):
@@ -130,39 +134,21 @@ def run_global_study(problem, method, tau_list, t_end, u0=None, t0=0.0, ref_tol=
     # closed-form shortcut (exact up to the spatial discretization error
     # only) is bypassed here
     reference = reference_solve(problem, t0, t_end, u0, tol=ref_tol, use_exact=False)
-    rows = []
-    prev = None
-    for tau in tau_list:
+
+    def measure(tau):
         steps = _step_count(span, tau)
-        try:
-            plain = u0
-            corrected = u0
-            factor = estimator_scale(tau, method.order)
-            for i in range(steps):
-                t = t0 + i * tau
-                plain = method.step(problem, t, tau, plain)
-                u_next, d = method.step_with_defect(problem, t, tau, corrected)
-                corrected = u_next - factor * d
-            g_err = state_norm(problem, plain - reference)
-            c_err = state_norm(problem, corrected - reference)
-        except StepFailure:
-            rows.append(GlobalRow(tau, math.nan, math.nan, math.nan, math.nan, True))
-            prev = None
-            continue
-        if prev is None:
-            rows.append(GlobalRow(tau, g_err, math.nan, c_err, math.nan))
-        else:
-            rows.append(
-                GlobalRow(
-                    tau,
-                    g_err,
-                    _order(prev[0], prev[1], tau, g_err),
-                    c_err,
-                    _order(prev[0], prev[2], tau, c_err),
-                )
-            )
-        prev = (tau, g_err, c_err)
-    return rows
+        plain = u0
+        corrected = u0
+        factor = estimator_scale(tau, method.order)
+        for i in range(steps):
+            t = t0 + i * tau
+            plain = method.step(problem, t, tau, plain)
+            u_next, d = method.step_with_defect(problem, t, tau, corrected)
+            corrected = u_next - factor * d
+        g_err = state_norm(problem, plain - reference)
+        return g_err, state_norm(problem, corrected - reference)
+
+    return _ladder(GlobalRow, tau_list, measure)
 
 
 def run_adaptive(problem, method, config, t_end, u0=None, t0=0.0):
@@ -265,8 +251,8 @@ def _add_common(parser):
 
 
 def _check_settings(args, problem):
-    """Raise ValueError for settings no run can use; the adaptive
-    controller's config checks its own step bounds."""
+    """Raise ValueError for settings no run can use, before any work; the
+    adaptive controller's config checks its own step bounds."""
     needs = method_needs(args.scheme)
     if not hasattr(problem, needs):
         raise ValueError(f"scheme {args.scheme} needs {needs!r}, which {args.problem} lacks")
@@ -278,6 +264,12 @@ def _check_settings(args, problem):
         raise ValueError(f"--t-end must be positive and finite, got {args.t_end}")
     if args.command == "global":
         _step_count(args.t_end, args.tau_max)
+    if args.out:
+        folder = os.path.dirname(os.path.abspath(args.out))
+        target = args.out if os.path.exists(args.out) else folder
+        writable = os.path.isdir(folder) and os.access(target, os.W_OK)
+        if os.path.isdir(args.out) or not writable:
+            raise ValueError(f"--out {args.out} is not a writable file path")
 
 
 def main(argv=None):

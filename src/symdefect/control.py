@@ -18,7 +18,6 @@ import numpy as np
 from .defects import (
     cfm_defect,
     imr_defect,
-    magnus4_defect,
     splitting_defect_semilinear,
     strang_defect,
 )
@@ -27,10 +26,10 @@ from .schemes import (
     CF4,
     EMB43AKS,
     EXPMID_AS_CFM,
+    MAGNUS4,
     STRANG,
     step_cfm,
     step_implicit_midpoint,
-    step_magnus4,
     step_splitting,
 )
 
@@ -133,13 +132,6 @@ def _cfm(scheme, defect, variant):
     )
 
 
-def _magnus4(tableau, defect, variant):
-    return (
-        lambda p, t0, tau, u: step_magnus4(p, t0, tau, u),
-        lambda p, t0, tau, u: magnus4_defect(p, t0, tau, u, variant=variant),
-    )
-
-
 # name -> (family, builder, tableau, order, defect kinds)
 _BOTH, _SYM = ("classical", "symmetrized"), ("symmetrized",)
 _METHODS = {
@@ -148,7 +140,7 @@ _METHODS = {
     "emb43aks": ("splitting", _splitting, EMB43AKS, EMB43AKS.order, _SYM),
     "expmid": ("exponential", _cfm, EXPMID_AS_CFM, EXPMID_AS_CFM.order, _SYM),
     "cf4": ("exponential", _cfm, CF4, CF4.order, _SYM),
-    "magnus4": ("exponential", _magnus4, None, 4, _SYM),
+    "magnus4": ("exponential", _cfm, MAGNUS4, MAGNUS4.order, _SYM),
 }
 METHOD_NAMES = tuple(_METHODS)
 

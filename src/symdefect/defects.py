@@ -7,10 +7,10 @@ counterpart, which for self-adjoint schemes buys one extra order of
 asymptotic accuracy of the derived local error estimator.
 
 There is one symmetrized evaluator per scheme family: the general
-splitting algorithm (Strang included), the commutator-free stage loop
-(the exponential midpoint rule is its one-stage tableau) shared with the
-4th-order Magnus step, and the implicit midpoint linear solves. Only the
-classical defects of implicit midpoint and Strang are separate formulas.
+splitting algorithm (Strang included), the exponential stage loop (the
+exponential midpoint rule and the 4th-order Magnus step are tableaus of
+it), and the implicit midpoint linear solves. Only the classical defects
+of implicit midpoint and Strang are separate formulas.
 
 Every evaluator returns a :class:`DefectOutput` whose ``u_next`` is
 bit-for-bit the same state the plain stepper produces; computing the defect
@@ -25,10 +25,8 @@ import numpy as np
 
 from .linalg import commutator, expm
 from .schemes import (
-    GAUSS2_NODES,
     STRANG,
-    cfm_stage_generators,
-    magnus4_generator,
+    cfm_stages,
     solve_linearized,
     step_implicit_midpoint,
 )
@@ -38,13 +36,8 @@ __all__ = [
     "imr_defect",
     "strang_defect",
     "splitting_defect_semilinear",
-    "cfm_bcheck",
     "cfm_defect",
-    "magnus4_bcheck",
-    "magnus4_defect",
 ]
-
-_SQRT3 = np.sqrt(3.0)
 
 
 class DefectOutput(NamedTuple):
@@ -144,82 +137,41 @@ def splitting_defect_semilinear(scheme, problem, tau, u):
     return DefectOutput(u, d)
 
 
-def cfm_bcheck(scheme, problem, t0, tau, j):
-    """Stage derivative matrix sum_k a[j][k] (c_k - 1/2) A'(t0 + c_k*tau).
+def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
+    """Symmetrized defect of an exponential step prod_j exp(tau B_j) from
+    its stage pairs (B_j, Bcheck_j), see :func:`~symdefect.schemes.cfm_stages`.
 
-    The stage index j is 1-based, matching the tableau convention.
-    """
-    if not 1 <= j <= scheme.stages:
-        raise ValueError(f"stage index {j} outside 1..{scheme.stages}")
-    return sum(
-        (ajk * (ck - 0.5)) * problem.dA(t0 + ck * tau)
-        for ajk, ck in zip(scheme.weights[j - 1], scheme.nodes)
-    )
-
-
-def _exponential_defect(problem, t0, tau, u, stages, variant, order):
-    """Symmetrized defect of a product of stage exponentials exp(tau B_j).
-
-    ``stages`` yields the pairs (B_j, Bcheck_j). Both variants accumulate
-    d = -A(t0) u / 2 through the stage exponentials and close with
-    -A(t0 + tau) u / 2. The Taylor variant adds Gamma_j u after each stage:
-    B_j plus the ad_{B_j}-series of Bcheck_j, truncated at tau^order. The
-    Hermite variant brackets each stage with the two-sided quadrature
-    matrices C -/+ = (B_j + tau Bcheck_j)/2 -/+ (tau^2/12) [B_j, Bcheck_j].
+    Both variants accumulate d = -A(t0) u / 2 through the stage exponentials
+    and close with -A(t0 + tau) u / 2. The Taylor variant adds Gamma_j u
+    after each stage: B_j plus the ad_{B_j}-series of Bcheck_j, truncated at
+    tau^order. The Hermite variant brackets each stage with the two-sided
+    quadrature matrices C -/+ = (B_j + tau Bcheck_j)/2 -/+ (tau^2/12)
+    [B_j, Bcheck_j]; a stage whose Bcheck_j vanishes uses B_j alone.
     """
     if variant not in ("taylor", "hermite"):
         raise ValueError(f"variant must be 'taylor' or 'hermite', got {variant!r}")
     u = np.asarray(u, dtype=np.complex128)
     d = -0.5 * (problem.A(t0) @ u)
-    for bj, bcheck in stages:
+    for bj, bcheck in cfm_stages(scheme, problem, t0, tau, derivatives=True):
         propagator = expm(tau * bj)
         if variant == "taylor":
-            gamma, nested, coeff = bj + tau * bcheck, bcheck, tau
-            for m in range(1, order):
-                nested = commutator(bj, nested)
-                coeff *= tau / (m + 1)
-                gamma = gamma + coeff * nested
+            gamma = bj
+            if bcheck is not None:
+                gamma, nested, coeff = bj + tau * bcheck, bcheck, tau
+                for m in range(1, scheme.order):
+                    nested = commutator(bj, nested)
+                    coeff *= tau / (m + 1)
+                    gamma = gamma + coeff * nested
             u = propagator @ u
             d = propagator @ d + gamma @ u
         else:
-            base = 0.5 * (bj + tau * bcheck)
-            corr = (tau * tau / 12.0) * commutator(bj, bcheck)
-            d = propagator @ (d + (base - corr) @ u)
+            lower = upper = 0.5 * bj
+            if bcheck is not None:
+                base = 0.5 * (bj + tau * bcheck)
+                corr = (tau * tau / 12.0) * commutator(bj, bcheck)
+                lower, upper = base - corr, base + corr
+            d = propagator @ (d + lower @ u)
             u = propagator @ u
-            d = d + (base + corr) @ u
+            d = d + upper @ u
     d = d - 0.5 * (problem.A(t0 + tau) @ u)
     return DefectOutput(u, d)
-
-
-def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
-    """Symmetrized defect of a commutator-free exponential step; the
-    exponential midpoint rule is the one-stage tableau ``EXPMID_AS_CFM``."""
-    pairs = [
-        (bj, cfm_bcheck(scheme, problem, t0, tau, j))
-        for j, bj in enumerate(cfm_stage_generators(scheme, problem, t0, tau), 1)
-    ]
-    return _exponential_defect(problem, t0, tau, u, pairs, variant, scheme.order)
-
-
-def magnus4_bcheck(problem, t0, tau):
-    """Derivative matrix of the 4th-order Magnus generator,
-    (d/dtau - (1/2) d/dt0) B, assembled from A and A' at the Gauss nodes."""
-    c1, c2 = GAUSS2_NODES
-    a1 = problem.A(t0 + c1 * tau)
-    a2 = problem.A(t0 + c2 * tau)
-    da1 = problem.dA(t0 + c1 * tau)
-    da2 = problem.dA(t0 + c2 * tau)
-    s = _SQRT3 / 12.0
-    return (
-        0.5 * ((c1 - 0.5) * da1 + (c2 - 0.5) * da2)
-        - s * commutator(a1, a2)
-        - s * (c1 - 0.5) * tau * commutator(da1, a2)
-        - s * (c2 - 0.5) * tau * commutator(a1, da2)
-    )
-
-
-def magnus4_defect(problem, t0, tau, u, variant="hermite"):
-    """Symmetrized defect of the 4th-order Magnus step: the exponential
-    stage loop on its single generator and generator derivative."""
-    stage = (magnus4_generator(problem, t0, tau), magnus4_bcheck(problem, t0, tau))
-    return _exponential_defect(problem, t0, tau, u, (stage,), variant, 4)

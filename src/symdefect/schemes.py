@@ -21,14 +21,14 @@ __all__ = [
     "EMB43AKS",
     "CF4",
     "EXPMID_AS_CFM",
+    "MAGNUS4",
     "GAUSS2_NODES",
     "step_implicit_midpoint",
     "step_splitting",
     "step_exp_midpoint",
     "step_cfm",
     "step_magnus4",
-    "cfm_stage_generators",
-    "magnus4_generator",
+    "cfm_stages",
 ]
 
 
@@ -50,14 +50,16 @@ class SplittingScheme:
 
 @dataclass(frozen=True)
 class CFMScheme:
-    """Exponential-integrator tableau: quadrature nodes c_k and stage
-    weights a[j][k]. The step multiplies exponentials of
-    tau * B_j with B_j = sum_k a[j][k] A(t0 + c_k*tau)."""
+    """Exponential-integrator tableau: quadrature nodes c_k, stage weights
+    a[j][k] and commutator weights g_j (empty for commutator-free schemes).
+    The step multiplies exponentials of tau * B_j with
+    B_j = sum_k a[j][k] A_k + g_j tau [A_1, A_2], A_k = A(t0 + c_k*tau)."""
 
     name: str
     nodes: tuple
     weights: tuple
     order: int
+    commutators: tuple = ()
 
     @property
     def stages(self):
@@ -104,6 +106,10 @@ CF4 = CFMScheme(
 
 #: The exponential midpoint rule written as a one-stage exponential scheme.
 EXPMID_AS_CFM = CFMScheme("expmid", (0.5,), ((1.0,),), 2)
+
+#: The classical 4th-order Magnus integrator on the two Gauss nodes: one
+#: stage (A1 + A2)/2 - (sqrt(3)/12) tau [A1, A2].
+MAGNUS4 = CFMScheme("magnus4", GAUSS2_NODES, ((0.5, 0.5),), 4, (-_SQRT3 / 12.0,))
 
 
 def solve_linearized(df, base, tau, rhs):
@@ -170,40 +176,55 @@ def step_exp_midpoint(problem, t0, tau, u):
     return step_cfm(EXPMID_AS_CFM, problem, t0, tau, u)
 
 
-def cfm_stage_generators(scheme, problem, t0, tau):
-    """Stage matrices B_j = sum_k a[j][k] A(t0 + c_k*tau) of a CFM tableau."""
-    samples = [problem.A(t0 + ck * tau) for ck in scheme.nodes]
+def cfm_stages(scheme, problem, t0, tau, derivatives=False):
+    """Stage generators B_j of a CFM tableau, sampling A once per node and
+    computing the commutator [A_1, A_2] once.
+
+    With ``derivatives`` the stages are pairs (B_j, Bcheck_j) with
+    Bcheck_j = (d/dtau - (1/2) d/dt0) B_j
+             = sum_k a[j][k] (c_k - 1/2) A'_k
+               + g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
+                                 + tau (c_2 - 1/2) [A_1, A'_2]),
+    A' sampled only at nodes c_k != 1/2. Bcheck_j is None where it vanishes
+    identically (every a[j][k] (c_k - 1/2) and g_j zero).
+    """
+    times = [t0 + ck * tau for ck in scheme.nodes]
+    samples = [problem.A(t) for t in times]
+    shifts = [ck - 0.5 for ck in scheme.nodes]
+    g = scheme.commutators or (0.0,) * scheme.stages
+    slopes = [problem.dA(t) if derivatives and sk else None for t, sk in zip(times, shifts)]
+    if any(g):
+        comm = dcomm = commutator(samples[0], samples[1])
+        if derivatives and shifts[0]:
+            dcomm = dcomm + (tau * shifts[0]) * commutator(slopes[0], samples[1])
+        if derivatives and shifts[1]:
+            dcomm = dcomm + (tau * shifts[1]) * commutator(samples[0], slopes[1])
     stages = []
-    for row in scheme.weights:
+    for row, gj in zip(scheme.weights, g):
         bj = row[0] * samples[0]
         for ajk, sample in zip(row[1:], samples[1:]):
             bj = bj + ajk * sample
+        if gj:
+            bj = bj + (gj * tau) * comm
+        if derivatives:
+            terms = [(ajk * sk) * da for ajk, sk, da in zip(row, shifts, slopes) if ajk * sk]
+            if gj:
+                terms.append(gj * dcomm)
+            bj = (bj, sum(terms) if terms else None)
         stages.append(bj)
     return stages
 
 
 def step_cfm(scheme, problem, t0, tau, u):
-    """One step of a commutator-free exponential scheme."""
+    """One step of an exponential scheme given by its tableau."""
     u = np.asarray(u, dtype=np.complex128)
     if tau == 0.0:
         return u.copy()
-    for bj in cfm_stage_generators(scheme, problem, t0, tau):
+    for bj in cfm_stages(scheme, problem, t0, tau):
         u = expm(tau * bj) @ u
     return u
 
 
-def magnus4_generator(problem, t0, tau):
-    """Generator of the 4th-order Magnus step from two Gauss samples:
-    (A1 + A2)/2 - (sqrt(3)/12) tau [A1, A2]."""
-    c1, c2 = GAUSS2_NODES
-    a1 = problem.A(t0 + c1 * tau)
-    a2 = problem.A(t0 + c2 * tau)
-    return 0.5 * (a1 + a2) - (_SQRT3 / 12.0) * tau * commutator(a1, a2)
-
-
 def step_magnus4(problem, t0, tau, u):
     """Classical 4th-order Magnus integrator on Gauss nodes."""
-    u = np.asarray(u, dtype=np.complex128)
-    if tau == 0.0:
-        return u.copy()
-    return expm(tau * magnus4_generator(problem, t0, tau)) @ u
+    return step_cfm(MAGNUS4, problem, t0, tau, u)

@@ -76,6 +76,14 @@ def expmid_defect(problem, t0, tau, u):
     return (a_mid - 0.5 * a_end) @ u_next - 0.5 * (propagator @ (problem.A(t0) @ u))
 
 
+def magnus4_generator(problem, t0, tau):
+    """Closed-form generator of the classical 4th-order Magnus step on the
+    two Gauss nodes: (A1 + A2)/2 - (sqrt(3)/12) tau [A1, A2]."""
+    a1 = problem.A(t0 + (0.5 - np.sqrt(3.0) / 6.0) * tau)
+    a2 = problem.A(t0 + (0.5 + np.sqrt(3.0) / 6.0) * tau)
+    return 0.5 * (a1 + a2) - (np.sqrt(3.0) / 12.0) * tau * (a1 @ a2 - a2 @ a1)
+
+
 def strang_symmetrized_defect(problem, tau, u):
     """Closed-form symmetrized defect of Strang splitting for
     u' = A u + B(u), from the problem's exact subflows: with

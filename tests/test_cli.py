@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from symdefect import cli
 from symdefect.cli import (
     ConvergenceRow,
     GlobalRow,
@@ -263,3 +264,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "error:" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", ["local", "global", "adaptive"])
+    def test_unwritable_out_is_usage_error(self, command, tmp_path, capsys, monkeypatch):
+        # rejected with the other settings, before the method is even built
+        def no_work(*args, **kwargs):
+            raise AssertionError("study ran")
+
+        monkeypatch.setattr(cli, "make_method", no_work)
+        out = tmp_path / "missing" / "x.csv"
+        argv = [command, "--problem", "toy-split", "--scheme", "strang", "--out", str(out)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--out" in err.splitlines()[-1] and "not a writable" in err
+        assert not out.parent.exists()

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
+from symdefect import defects, schemes
 from symdefect.control import make_method
 from symdefect.defects import (
-    cfm_bcheck,
     cfm_defect,
     imr_defect,
-    magnus4_bcheck,
-    magnus4_defect,
     splitting_defect_semilinear,
     strang_defect,
 )
@@ -18,8 +16,10 @@ from symdefect.schemes import (
     CF4,
     EMB43AKS,
     EXPMID_AS_CFM,
+    MAGNUS4,
     STRANG,
     SplittingScheme,
+    cfm_stages,
     step_cfm,
     step_exp_midpoint,
     step_implicit_midpoint,
@@ -262,29 +262,41 @@ class TestExpmidDefect:
 
 class TestCfmDefect:
     def test_bcheck_midpoint_node_is_zero(self, zener):
-        assert np.linalg.norm(cfm_bcheck(EXPMID_AS_CFM, zener, 0.0, 0.1, 1)) == 0.0
+        # a stage whose Bcheck vanishes identically reports None
+        [(_, bcheck)] = cfm_stages(EXPMID_AS_CFM, zener, 0.0, 0.1, derivatives=True)
+        assert bcheck is None
 
     def test_bcheck_constant_generator_is_zero(self):
         rng = np.random.default_rng(3)
         prob = ConstantLinear(random_skew_hermitian(rng, 5))
-        for j in (1, 2):
-            assert np.linalg.norm(cfm_bcheck(CF4, prob, 0.0, 0.2, j)) == 0.0
+        for scheme in (CF4, MAGNUS4):
+            for _, bcheck in cfm_stages(scheme, prob, 0.0, 0.2, derivatives=True):
+                assert np.linalg.norm(bcheck) == 0.0
 
     def test_bcheck_zero_step_limit(self, zener):
         # at tau = 0 the stage derivative is Y_j A'(t0)
-        for j in (1, 2):
-            y = sum(
-                a * (c - 0.5) for a, c in zip(CF4.weights[j - 1], CF4.nodes)
-            )
+        stages = cfm_stages(CF4, zener, 0.3, 0.0, derivatives=True)
+        for row, (_, got) in zip(CF4.weights, stages):
+            y = sum(a * (c - 0.5) for a, c in zip(row, CF4.nodes))
             expected = y * zener.dA(0.3)
-            got = cfm_bcheck(CF4, zener, 0.3, 0.0, j)
             assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
-    def test_bcheck_stage_bounds(self, zener):
-        with pytest.raises(ValueError):
-            cfm_bcheck(CF4, zener, 0.0, 0.1, 0)
-        with pytest.raises(ValueError):
-            cfm_bcheck(CF4, zener, 0.0, 0.1, 3)
+    @pytest.mark.parametrize(
+        "scheme", [EXPMID_AS_CFM, CF4, MAGNUS4], ids=["expmid", "cf4", "magnus4"]
+    )
+    def test_bcheck_matches_finite_difference(self, zener, scheme):
+        # Bcheck = (d/dtau - (1/2) d/dt0) B, a central difference along
+        # (t0, tau) -> (t0 - eps/2, tau + eps)
+        t0, tau, eps = 0.3, 0.25, 1e-5
+        plus = cfm_stages(scheme, zener, t0 - 0.5 * eps, tau + eps)
+        minus = cfm_stages(scheme, zener, t0 + 0.5 * eps, tau - eps)
+        stages = cfm_stages(scheme, zener, t0, tau, derivatives=True)
+        for bp, bm, (bj, bcheck) in zip(plus, minus, stages):
+            fd = (bp - bm) / (2.0 * eps)
+            if bcheck is None:
+                assert np.linalg.norm(fd) <= 1e-7 * np.linalg.norm(bj)
+            else:
+                assert np.linalg.norm(fd - bcheck) <= 1e-7 * np.linalg.norm(bcheck)
 
     @pytest.mark.parametrize("variant", ["taylor", "hermite"])
     def test_constant_generator_zero_defect(self, variant):
@@ -322,19 +334,22 @@ class TestMagnus4Defect:
         prob = ConstantLinear(random_skew_hermitian(rng, 5))
         u = random_state(rng, 5)
         for variant in ("taylor", "hermite"):
-            _, d = magnus4_defect(prob, 0.0, 0.4, u, variant=variant)
+            _, d = cfm_defect(MAGNUS4, prob, 0.0, 0.4, u, variant=variant)
             assert np.linalg.norm(d) <= 1e-13
 
     @pytest.mark.parametrize("variant", ["taylor", "hermite"])
     def test_u_next_matches_plain_step(self, zener, variant):
         u = zener.initial_state()
         plain = step_magnus4(zener, 0.0, 0.25, u)
-        u_next, _ = magnus4_defect(zener, 0.0, 0.25, u, variant=variant)
+        u_next, _ = cfm_defect(MAGNUS4, zener, 0.0, 0.25, u, variant=variant)
         assert np.array_equal(u_next, plain)
 
     def test_bcheck_vanishes_linearly(self, zener):
         taus = [0.1 / 2**i for i in range(4)]
-        norms = [np.linalg.norm(magnus4_bcheck(zener, 0.0, tau)) for tau in taus]
+        norms = [
+            np.linalg.norm(cfm_stages(MAGNUS4, zener, 0.0, tau, derivatives=True)[0][1])
+            for tau in taus
+        ]
         slope = fit_slope(taus, norms)
         assert 0.85 <= slope <= 1.3
 
@@ -345,10 +360,44 @@ class TestMagnus4Defect:
         taus = [0.25 / 2**i for i in range(4)]
         devs = []
         for tau in taus:
-            u_next, d = magnus4_defect(zener, 0.0, tau, u, variant="taylor")
+            u_next, d = cfm_defect(MAGNUS4, zener, 0.0, tau, u, variant="taylor")
             ref = reference_solve(zener, 0.0, tau, u, tol=1e-12)
             devs.append(np.linalg.norm((tau / 5.0) * d - (u_next - ref)))
         assert abs(fit_slope(taus, devs) - 7.0) <= 0.3
+
+
+class TestKernelCalls:
+    @pytest.mark.parametrize(
+        "name, variant, counts",
+        [
+            ("expmid", "taylor", (3, 0, 0)),
+            ("expmid", "hermite", (3, 0, 0)),
+            ("cf4", "taylor", (4, 2, 6)),
+            ("cf4", "hermite", (4, 2, 2)),
+            ("magnus4", "taylor", (4, 2, 6)),
+            ("magnus4", "hermite", (4, 2, 4)),
+        ],
+    )
+    def test_calls_per_defect(self, monkeypatch, name, variant, counts):
+        # A and A' are sampled once per distinct time, [A1, A2] once
+        prob = RosenZener(k=3)
+        calls = {"A": 0, "dA": 0, "commutator": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(prob, "A", counted("A", prob.A))
+        monkeypatch.setattr(prob, "dA", counted("dA", prob.dA))
+        wrapped = counted("commutator", schemes.commutator)
+        monkeypatch.setattr(schemes, "commutator", wrapped)
+        monkeypatch.setattr(defects, "commutator", wrapped)
+        method = make_method(name, variant=variant)
+        method.step_with_defect(prob, 0.2, 0.1, prob.initial_state())
+        assert (calls["A"], calls["dA"], calls["commutator"]) == counts
 
 
 class TestDefectConsistency:

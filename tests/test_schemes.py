@@ -9,9 +9,10 @@ from symdefect.schemes import (
     CF4,
     EMB43AKS,
     EXPMID_AS_CFM,
+    MAGNUS4,
     STRANG,
     GAUSS2_NODES,
-    magnus4_generator,
+    cfm_stages,
     step_cfm,
     step_exp_midpoint,
     step_implicit_midpoint,
@@ -27,6 +28,7 @@ from oracles import (
     ZeroField,
     expmid_step,
     fit_slope,
+    magnus4_generator,
     random_skew_hermitian,
     random_state,
     rk4,
@@ -177,11 +179,17 @@ class TestExponentialSteppers:
     def test_magnus4_generator_small_step_limit(self):
         prob = RosenZener(k=4)
         norms = [
-            np.linalg.norm(magnus4_generator(prob, 0.0, tau) - prob.A(0.0))
+            np.linalg.norm(cfm_stages(MAGNUS4, prob, 0.0, tau)[0] - prob.A(0.0))
             for tau in (1e-2, 1e-3, 1e-4)
         ]
         # B(tau) - A(t0) = O(tau)
         assert fit_slope((1e-2, 1e-3, 1e-4), norms) >= 0.9
+
+    @pytest.mark.parametrize("t0, tau", [(0.0, 0.1), (0.3, 0.25), (-1.2, 0.0625)])
+    def test_magnus4_tableau_matches_closed_form(self, t0, tau):
+        prob = RosenZener(k=4)
+        (generator,) = cfm_stages(MAGNUS4, prob, t0, tau)
+        assert np.array_equal(generator, magnus4_generator(prob, t0, tau))
 
     def test_gauss_nodes(self):
         c1, c2 = GAUSS2_NODES
