@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import commutator, expm
+from .linalg import expm_action
 from .schemes import (
     STRANG,
     cfm_stages,
@@ -147,31 +147,52 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
     tau^order. The Hermite variant brackets each stage with the two-sided
     quadrature matrices C -/+ = (B_j + tau Bcheck_j)/2 -/+ (tau^2/12)
     [B_j, Bcheck_j]; a stage whose Bcheck_j vanishes uses B_j alone.
+
+    Only matrix-vector products are formed: the stage exponentials act
+    through :func:`~symdefect.linalg.expm_action`, one call per vector, and
+    every commutator with Bcheck_j is applied to the vectors it acts on.
     """
     if variant not in ("taylor", "hermite"):
         raise ValueError(f"variant must be 'taylor' or 'hermite', got {variant!r}")
     u = np.asarray(u, dtype=np.complex128)
     d = -0.5 * (problem.A(t0) @ u)
     for bj, bcheck in cfm_stages(scheme, problem, t0, tau, derivatives=True):
-        propagator = expm(tau * bj)
+        generator = tau * bj
         if variant == "taylor":
-            gamma = bj
-            if bcheck is not None:
-                gamma, nested, coeff = bj + tau * bcheck, bcheck, tau
-                for m in range(1, scheme.order):
-                    nested = commutator(bj, nested)
-                    coeff *= tau / (m + 1)
-                    gamma = gamma + coeff * nested
-            u = propagator @ u
-            d = propagator @ d + gamma @ u
+            u = expm_action(generator, u)
+            d = expm_action(generator, d) + _gamma_action(bj, bcheck, tau, scheme.order, u)
         else:
-            lower = upper = 0.5 * bj
-            if bcheck is not None:
-                base = 0.5 * (bj + tau * bcheck)
-                corr = (tau * tau / 12.0) * commutator(bj, bcheck)
-                lower, upper = base - corr, base + corr
-            d = propagator @ (d + lower @ u)
-            u = propagator @ u
-            d = d + upper @ u
+            d = expm_action(generator, d + _hermite_action(bj, bcheck, tau, u, -1.0))
+            u = expm_action(generator, u)
+            d = d + _hermite_action(bj, bcheck, tau, u, 1.0)
     d = d - 0.5 * (problem.A(t0 + tau) @ u)
     return DefectOutput(u, d)
+
+
+def _gamma_action(bj, bcheck, tau, order, x):
+    """Gamma_j x = B_j x + sum_{m=0}^{order-1} tau^(m+1)/(m+1)!
+    ad_{B_j}^m(Bcheck_j) x, from the columns ad^m(Bcheck_j) B_j^i x:
+    Bcheck_j acts once on the block (x, B_j x, ..., B_j^(order-1) x), and
+    ad^m(C) B^i x = B ad^(m-1)(C) B^i x - ad^(m-1)(C) B^(i+1) x."""
+    if bcheck is None:
+        return bj @ x
+    powers = [x]
+    for _ in range(order - 1):
+        powers.append(bj @ powers[-1])
+    nested = bcheck(np.stack(powers, axis=1))
+    gamma, coeff = powers[1] + tau * nested[:, 0], tau
+    for m in range(1, order):
+        nested = bj @ nested[:, :-1] - nested[:, 1:]
+        coeff *= tau / (m + 1)
+        gamma = gamma + coeff * nested[:, 0]
+    return gamma
+
+
+def _hermite_action(bj, bcheck, tau, x, sign):
+    """C -/+ x = (B_j x + tau Bcheck_j x)/2 -/+ (tau^2/12) [B_j, Bcheck_j] x
+    for sign = -1/+1, the bracket applied as B_j (Bcheck_j x) - Bcheck_j (B_j x)."""
+    bx = bj @ x
+    if bcheck is None:
+        return 0.5 * bx
+    cx, cbx = bcheck(np.stack((x, bx), axis=1)).T
+    return 0.5 * (bx + tau * cx) + (sign * tau * tau / 12.0) * (bj @ cx - cbx)

@@ -1,11 +1,19 @@
-"""Kernel tests: matrix exponential, commutators, Kronecker products, FFT."""
+"""Kernel tests: matrix exponential and its action, commutators, Kronecker
+products, FFT, and the numpy-only runtime."""
+
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from symdefect.linalg import commutator, expm, fft, ifft, kron
+import symdefect
+from symdefect.linalg import commutator, expm, expm_action, fft, ifft, kron
+from symdefect.problems import RosenZener
 
-from oracles import naive_dft, random_skew_hermitian
+from oracles import expm_skew_hermitian, naive_dft, random_skew_hermitian, random_state
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]], dtype=np.complex128)
@@ -63,6 +71,70 @@ class TestExpm:
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             expm(np.zeros((2, 3)))
+
+
+class TestExpmAction:
+    @pytest.mark.parametrize("tau", [1 / 256, 1 / 16, 0.25, 1.0, 4.0])
+    def test_matches_eigendecomposition_on_rosen_zener(self, tau):
+        prob = RosenZener()
+        rng = np.random.default_rng(12)
+        u = random_state(rng, prob.dim)
+        for t in (0.0, 0.3, 1.7):
+            m = tau * prob.A(t)
+            exact = expm_skew_hermitian(m) @ u
+            assert np.linalg.norm(expm_action(m, u) - exact) <= 1e-13 * np.linalg.norm(exact)
+
+    def test_matches_expm_on_non_normal_matrix(self):
+        rng = np.random.default_rng(13)
+        m = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+        m /= np.linalg.norm(m, 1)
+        v = random_state(rng, 20)
+        exact = expm(m) @ v
+        assert np.linalg.norm(expm_action(m, v) - exact) <= 1e-13 * np.linalg.norm(exact)
+
+    def test_block_matches_columns(self):
+        rng = np.random.default_rng(14)
+        m = random_skew_hermitian(rng, 16, scale=0.5)
+        block = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+        out = expm_action(m, block)
+        assert out.shape == (16, 3)
+        for col in range(3):
+            single = expm_action(m, block[:, col])
+            assert np.linalg.norm(out[:, col] - single) <= 1e-14 * np.linalg.norm(single)
+
+    def test_zero_matrix_returns_copy(self):
+        v = np.arange(4, dtype=np.complex128)
+        out = expm_action(np.zeros((4, 4)), v)
+        assert np.array_equal(out, v) and out is not v
+        out[0] = 7.0
+        assert v[0] == 0.0
+
+    def test_invalid_input_raises(self):
+        v = np.ones(3, dtype=np.complex128)
+        for bad in (np.nan, np.inf):
+            m = np.eye(3, dtype=np.complex128)
+            m[1, 2] = bad
+            with pytest.raises(ValueError):
+                expm_action(m, v)
+        with pytest.raises(ValueError):
+            expm_action(np.eye(3), np.array([1.0, np.nan, 0.0]))
+        with pytest.raises(ValueError):
+            expm_action(np.zeros((3, 4)), v)
+        with pytest.raises(ValueError):
+            expm_action(np.eye(3), np.ones(4))
+
+    def test_huge_norm_returns_quickly(self):
+        # d*s Taylor products would never finish at this norm; the cost
+        # bound hands over to scaling and squaring instead
+        rng = np.random.default_rng(15)
+        m = random_skew_hermitian(rng, 30)
+        m *= 1e12 / np.linalg.norm(m, 1)
+        v = random_state(rng, 30)
+        start = time.perf_counter()
+        out = expm_action(m, v)
+        assert time.perf_counter() - start < 1.0
+        exact = expm(m) @ v
+        assert np.linalg.norm(out - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 class TestCommutators:
@@ -156,3 +228,17 @@ class TestFFT:
                 transform(np.ones((2, 2, 4)))
             with pytest.raises(ValueError):
                 transform(np.complex128(1.0))
+
+
+def test_runtime_needs_numpy_only():
+    # the package imports no scipy, so expm_multiply and friends stay out
+    src = os.path.dirname(os.path.dirname(symdefect.__file__))
+    code = (
+        "import sys, symdefect, symdefect.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

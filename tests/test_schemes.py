@@ -1,9 +1,13 @@
 """Stepper tests: tableau invariants, closed forms, orders, reversibility."""
 
+import time
+
 import numpy as np
 import pytest
 
+from symdefect.defects import cfm_defect
 from symdefect.errors import StepFailure
+from symdefect.linalg import expm
 from symdefect.problems import CubicNLS, RosenZener
 from symdefect.schemes import (
     CF4,
@@ -190,6 +194,34 @@ class TestExponentialSteppers:
         prob = RosenZener(k=4)
         (generator,) = cfm_stages(MAGNUS4, prob, t0, tau)
         assert np.array_equal(generator, magnus4_generator(prob, t0, tau))
+
+    def test_huge_step_returns_quickly(self):
+        # far out on the pulse the generator is tiny; at any norm the step's
+        # cost stays bounded and it agrees with the formed exponential
+        prob = RosenZener()
+        u = prob.initial_state()
+        with np.errstate(over="ignore"):  # cosh overflows to inf, sech to 0
+            start = time.perf_counter()
+            out = step_cfm(MAGNUS4, prob, 0.0, 1e6, u)
+            assert time.perf_counter() - start < 1.0
+            (generator,) = cfm_stages(MAGNUS4, prob, 0.0, 1e6)
+        exact = expm(1e6 * generator) @ u
+        assert np.linalg.norm(out - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "scheme", [EXPMID_AS_CFM, CF4, MAGNUS4], ids=["expmid", "cf4", "magnus4"]
+    )
+    def test_non_finite_step_raises(self, scheme, tau):
+        prob = RosenZener(k=3)
+        u = prob.initial_state()
+        calls = [lambda: step_cfm(scheme, prob, 0.1, tau, u)] + [
+            lambda v=variant: cfm_defect(scheme, prob, 0.1, tau, u, variant=v)
+            for variant in ("taylor", "hermite")
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
 
     def test_gauss_nodes(self):
         c1, c2 = GAUSS2_NODES
