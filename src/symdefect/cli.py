@@ -34,7 +34,7 @@ from .control import (
     reference_solve,
     state_norm,
 )
-from .errors import StepFailure
+from .errors import ConvergenceFailure, StepFailure
 from .problems import PROBLEM_NAMES, make_problem
 
 __all__ = [
@@ -311,9 +311,13 @@ def main(argv=None):
         return 1 if any(row.failed for row in rows) else 0
 
     if args.command == "global":
-        rows = run_global_study(
-            problem, method, dyadic_ladder(args.tau_max, args.levels), args.t_end
-        )
+        try:
+            rows = run_global_study(
+                problem, method, dyadic_ladder(args.tau_max, args.levels), args.t_end
+            )
+        except (StepFailure, ConvergenceFailure) as exc:  # from the reference solve
+            sys.stderr.write(f"global study aborted: {exc}\n")
+            return 1
         _emit(rows, args)
         return 1 if any(row.failed for row in rows) else 0
 

@@ -229,8 +229,8 @@ def reference_solve(
 # -- integral representations of the local error ------------------------------
 
 
-def _rk4(rhs, y, duration, steps):
-    h = duration / steps
+def _rk4(rhs, y, h, steps):
+    """Fixed-step RK4 on a (k, m) stack, row i stepping by h[i, 0]."""
     for _ in range(steps):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * h * k1)
@@ -238,30 +238,6 @@ def _rk4(rhs, y, duration, steps):
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
-
-
-def exact_flow_rk4(problem, duration, u, steps=512):
-    """Flow of u' = F(u) by fixed-step RK4 (oracle-grade accuracy)."""
-    if duration == 0.0:
-        return np.asarray(u, dtype=np.complex128).copy()
-    return _rk4(problem.f, np.asarray(u, dtype=np.complex128), duration, steps)
-
-
-def flow_derivative_apply(problem, duration, u, v, steps=512):
-    """Transport of a tangent vector by the derivative of the exact flow:
-    integrates the variational equation v' = F'(y) v alongside y' = F(y)."""
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    if duration == 0.0:
-        return v.copy()
-    n = u.shape[0]
-
-    def rhs(pair):
-        y, w = pair[:n], pair[n:]
-        return np.concatenate((problem.f(y), problem.df(y, w)))
-
-    out = _rk4(rhs, np.concatenate((u, v)), duration, steps)
-    return out[n:]
 
 
 def local_error_integral_oracle(
@@ -274,28 +250,40 @@ def local_error_integral_oracle(
     symmetrized:  int_0^tau dE(h, S(s, E(h, u0))) . D(s, E(h, u0)) ds,
                   h = (tau - s)/2
 
-    where dE is the derivative of the exact flow with respect to the state,
-    applied by integrating the variational equation. The method's defect
-    evaluator must produce the matching defect kind.
+    on ``quad_nodes`` Gauss-Legendre nodes s. The exact flow E of
+    u' = F(u), and its derivative dE applied by integrating the variational
+    equation v' = F'(y) v alongside y' = F(y), come from ``ode_steps`` RK4
+    steps taken for all nodes at once: row i of a (quad_nodes, 2n) stack
+    runs over node i's duration, so ``problem.f`` and ``problem.df`` must
+    act row-wise on a (k, n) stack. The method's defect evaluator runs once
+    per node and must produce the matching defect kind.
     """
     if kind not in ("classical", "symmetrized"):
         raise ValueError(f"unknown kind {kind!r}")
+    for name, value in (("quad_nodes", quad_nodes), ("ode_steps", ode_steps)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     u0 = np.asarray(u0, dtype=np.complex128)
+    n = u0.shape[0]
     nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
     # map from [-1, 1] to [0, tau]
     points = 0.5 * tau * (nodes + 1.0)
     scale = 0.5 * tau
+    durations = tau - points if kind == "classical" else 0.5 * (tau - points)
+    h = durations[:, None] / ode_steps
+    starts = np.tile(u0, (quad_nodes, 1))
+    if kind == "symmetrized":
+        starts = _rk4(problem.f, starts, h, ode_steps)
+    pairs = np.array([np.concatenate(method.step_with_defect(problem, 0.0, s, x))
+                      for s, x in zip(points, starts)])
+
+    def variational(stack):
+        y, w = stack[:, :n], stack[:, n:]
+        return np.concatenate((problem.f(y), problem.df(y, w)), axis=1)
+
+    terms = _rk4(variational, pairs, h, ode_steps)[:, n:]
     total = np.zeros_like(u0)
-    for s, w in zip(points, weights):
-        if kind == "classical":
-            _, d = method.step_with_defect(problem, 0.0, s, u0)
-            y = method.step(problem, 0.0, s, u0)
-            term = flow_derivative_apply(problem, tau - s, y, d, steps=ode_steps)
-        else:
-            half = 0.5 * (tau - s)
-            x = exact_flow_rk4(problem, half, u0, steps=ode_steps)
-            y, d = method.step_with_defect(problem, 0.0, s, x)
-            term = flow_derivative_apply(problem, half, y, d, steps=ode_steps)
+    for w, term in zip(weights, terms):
         total = total + (w * scale) * term
     return total
 

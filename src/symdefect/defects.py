@@ -23,9 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import expm_action
 from .schemes import (
     STRANG,
+    _stage_action,
     cfm_stages,
     solve_linearized,
     step_implicit_midpoint,
@@ -150,7 +150,8 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
 
     Only matrix-vector products are formed: the stage exponentials act
     through :func:`~symdefect.linalg.expm_action`, one call per vector, and
-    every commutator with Bcheck_j is applied to the vectors it acts on.
+    every commutator with Bcheck_j is applied to the vectors it acts on. A
+    vector no longer finite there (a huge step overflowing) fails the step.
     """
     if variant not in ("taylor", "hermite"):
         raise ValueError(f"variant must be 'taylor' or 'hermite', got {variant!r}")
@@ -159,11 +160,11 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
     for bj, bcheck in cfm_stages(scheme, problem, t0, tau, derivatives=True):
         generator = tau * bj
         if variant == "taylor":
-            u = expm_action(generator, u)
-            d = expm_action(generator, d) + _gamma_action(bj, bcheck, tau, scheme.order, u)
+            u = _stage_action(generator, u)
+            d = _stage_action(generator, d) + _gamma_action(bj, bcheck, tau, scheme.order, u)
         else:
-            d = expm_action(generator, d + _hermite_action(bj, bcheck, tau, u, -1.0))
-            u = expm_action(generator, u)
+            d = _stage_action(generator, d + _hermite_action(bj, bcheck, tau, u, -1.0))
+            u = _stage_action(generator, u)
             d = d + _hermite_action(bj, bcheck, tau, u, 1.0)
     d = d - 0.5 * (problem.A(t0 + tau) @ u)
     return DefectOutput(u, d)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import StepFailure
+
 __all__ = [
     "expm",
     "expm_action",
     "commutator",
-    "kron",
     "fft",
     "ifft",
 ]
@@ -54,7 +55,8 @@ def expm(m):
     """Matrix exponential by scaling and squaring.
 
     Uses the order-13 diagonal Pade approximant with 1-norm based scaling,
-    accurate to ~1e-13 relative for moderate norms.
+    accurate to ~1e-13 relative for moderate norms. Raises
+    :class:`~symdefect.errors.StepFailure` when the squarings overflow.
     """
     a = _as_square(m)
     n = a.shape[0]
@@ -85,8 +87,11 @@ def expm(m):
         + b[0] * ident
     )
     f = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        f = f @ f
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for _ in range(squarings):
+            f = f @ f
+    if not np.isfinite(f).all():
+        raise StepFailure(f"matrix exponential overflowed at 1-norm {norm:.3e}")
     return f
 
 
@@ -117,7 +122,7 @@ def expm_action(m, v):
     terms are negligible against the partial sum (in the max-norm). When
     d*s matrix-vector products would cost more flops than forming the
     exponential (a huge norm), it returns ``expm(m) @ v`` instead, so the
-    cost stays bounded.
+    cost stays bounded (and an overflow there is a ``StepFailure``).
     """
     a = _as_square(m)
     v = np.asarray(v, dtype=np.complex128)
@@ -158,13 +163,6 @@ def commutator(a, b):
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def kron(a, b):
-    """Kronecker product of two matrices."""
-    return np.kron(
-        np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
-    )
 
 
 def _check_fft_input(v):

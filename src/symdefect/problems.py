@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StepFailure
-from .linalg import fft, ifft, kron
+from .linalg import fft, ifft
 
 __all__ = [
     "CubicNLS",
@@ -168,8 +168,8 @@ class RosenZener:
         idx = np.arange(self.k - 1)
         coupling[idx, idx + 1] = 1.0
         coupling[idx + 1, idx] = 1.0
-        self._h1 = kron(sigma1, np.eye(self.k, dtype=np.complex128))
-        self._h2 = kron(sigma2, coupling)
+        self._h1 = np.kron(sigma1, np.eye(self.k, dtype=np.complex128))
+        self._h2 = np.kron(sigma2, coupling)
 
     def f1(self, t):
         return self.amplitude * np.cos(self.omega * t) / np.cosh(t / self.pulse_duration)

@@ -248,13 +248,21 @@ def _bcheck_action(terms, gj, dcomm):
     return apply
 
 
+def _stage_action(generator, x):
+    """expm_action(generator, x) for a stage vector x; an x that has left
+    the finite range (a huge step overflowing) fails the step."""
+    if not np.isfinite(x).all():
+        raise StepFailure("exponential stage vector is not finite")
+    return expm_action(generator, x)
+
+
 def step_cfm(scheme, problem, t0, tau, u):
     """One step of an exponential scheme given by its tableau."""
     u = np.asarray(u, dtype=np.complex128)
     if tau == 0.0:
         return u.copy()
     for bj in cfm_stages(scheme, problem, t0, tau):
-        u = expm_action(tau * bj, u)
+        u = _stage_action(tau * bj, u)
     return u
 
 

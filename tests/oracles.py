@@ -29,6 +29,31 @@ def rk4(rhs, y0, duration, steps):
     return y
 
 
+def integral_oracle_loop(problem, method, tau, u0, kind, quad_nodes=48, ode_steps=512):
+    """Per-node quadrature of the integral representation of the local error
+    (classical or symmetrized), one or two RK4 integrations per Gauss node:
+    the reference for the batched ``local_error_integral_oracle``."""
+    u0 = np.asarray(u0, dtype=np.complex128)
+    n = u0.shape[0]
+
+    def variational(pair):
+        y, w = pair[:n], pair[n:]
+        return np.concatenate((problem.f(y), problem.df(y, w)))
+
+    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    total = np.zeros_like(u0)
+    for s, w in zip(0.5 * tau * (nodes + 1.0), weights):
+        if kind == "classical":
+            duration, start = tau - s, u0
+        else:
+            duration = 0.5 * (tau - s)
+            start = rk4(problem.f, u0, duration, ode_steps)
+        y, d = method.step_with_defect(problem, 0.0, s, start)
+        term = rk4(variational, np.concatenate((y, d)), duration, ode_steps)[n:]
+        total = total + (w * (0.5 * tau)) * term
+    return total
+
+
 def fit_slope(taus, values):
     """Least-squares slope of log(values) against log(taus)."""
     return float(np.polyfit(np.log(taus), np.log(values), 1)[0])

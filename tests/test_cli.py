@@ -1,6 +1,7 @@
 """Benchmark CLI: study drivers, serialization round-trips, subcommands."""
 
 import math
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from symdefect.cli import (
     run_local_study,
 )
 from symdefect.control import Method, StepRecord, make_method
-from symdefect.errors import StepFailure
+from symdefect.errors import ConvergenceFailure, StepFailure
 from symdefect.problems import ToySplit
 
 from oracles import ScalarQuadratic
@@ -203,6 +204,39 @@ class TestMain:
         trace = parse_csv(out.read_text(), StepRecord)
         accepted = [rec for rec in trace if rec.accepted]
         assert abs(math.fsum(rec.tau for rec in accepted) - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["local", "--scheme", "magnus4", "--tau-max", "1e300", "--levels", "1"],
+            ["global", "--scheme", "cf4", "--tau-max", "1e200", "--levels", "1",
+             "--t-end", "1e200"],
+        ],
+        ids=["local-row", "global-reference"],
+    )
+    def test_overflowing_huge_step_fails_cleanly(self, argv, capsys):
+        # the local step fails its row; the global reference solve, run
+        # before the ladder, aborts the study with one line
+        command, *settings = argv
+        start = time.monotonic()
+        code = main([command, "--problem", "rosen-zener", *settings])
+        assert time.monotonic() - start < 5.0
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if command == "global":
+            assert captured.err.splitlines()[-1].startswith("global study aborted:")
+            assert captured.out == ""
+
+    def test_reference_convergence_failure_aborts_global(self, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ConvergenceFailure("did not converge")
+
+        monkeypatch.setattr(cli, "reference_solve", no_convergence)
+        code = main(["global", "--problem", "toy-split", "--scheme", "strang"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "global study aborted: did not converge\n"
 
     @pytest.mark.parametrize(
         "setting", [["--tol", "-1"], ["--tau-max", "-0.5"]], ids=["tol", "tau-max"]

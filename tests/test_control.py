@@ -28,6 +28,7 @@ from oracles import (
     ConstantLinear,
     ScalarQuadratic,
     ZeroField,
+    integral_oracle_loop,
     random_skew_hermitian,
     rk4,
 )
@@ -197,10 +198,44 @@ class TestIntegralOracle:
         direct = method.step(toy, 0.0, tau, u0) - rk4(toy.f, u0, tau, 4096)
         assert np.linalg.norm(integral - direct) <= 1e-9
 
+    @pytest.mark.parametrize("kind", ["classical", "symmetrized"])
+    @pytest.mark.parametrize(
+        "problem, scheme, u0, quad_nodes, ode_steps",
+        [
+            (ScalarQuadratic(), "imr", np.array([1.0 + 0j]), 12, 128),
+            (ToySplit(), "strang", np.array([1.0 + 0j]), 12, 128),
+            (CubicNLS(n=16), "strang", CubicNLS(n=16).initial_state(), 8, 64),
+        ],
+        ids=["quadratic-imr", "toy-strang", "nls16-strang"],
+    )
+    def test_batched_matches_per_node_loop(
+        self, problem, scheme, u0, quad_nodes, ode_steps, kind
+    ):
+        # one RK4 over all nodes does each node's arithmetic; only the
+        # summation order may move the result by a few ulp
+        method = make_method(scheme, defect=kind)
+        batched = local_error_integral_oracle(
+            problem, method, 0.1, u0, kind=kind, quad_nodes=quad_nodes, ode_steps=ode_steps
+        )
+        loop = integral_oracle_loop(problem, method, 0.1, u0, kind, quad_nodes, ode_steps)
+        assert np.linalg.norm(batched - loop) <= 1e-14 * np.linalg.norm(loop)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             local_error_integral_oracle(
                 ScalarQuadratic(), make_method("imr"), 0.1, np.ones(1, complex), kind="x"
+            )
+
+    @pytest.mark.parametrize(
+        "discretisation",
+        [{"quad_nodes": 0}, {"ode_steps": 0}, {"ode_steps": -4}, {"quad_nodes": 2.5}],
+        ids=["no-nodes", "no-steps", "negative-steps", "fractional-nodes"],
+    )
+    def test_degenerate_discretisation_raises(self, discretisation):
+        with pytest.raises(ValueError, match="positive integer"):
+            local_error_integral_oracle(
+                ScalarQuadratic(), make_method("imr"), 0.1, np.ones(1, complex),
+                **discretisation,
             )
 
 

@@ -1,5 +1,5 @@
-"""Kernel tests: matrix exponential and its action, commutators, Kronecker
-products, FFT, and the numpy-only runtime."""
+"""Kernel tests: matrix exponential and its action, commutators, FFT, and
+the numpy-only runtime."""
 
 import os
 import subprocess
@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import symdefect
-from symdefect.linalg import commutator, expm, expm_action, fft, ifft, kron
+from symdefect.errors import StepFailure
+from symdefect.linalg import commutator, expm, expm_action, fft, ifft
 from symdefect.problems import RosenZener
 
 from oracles import expm_skew_hermitian, naive_dft, random_skew_hermitian, random_state
@@ -67,6 +68,12 @@ class TestExpm:
         m = random_skew_hermitian(rng, 12, scale=2.0)
         e = expm(m)
         assert np.linalg.norm(e.conj().T @ e - np.eye(12)) <= 1e-11
+
+    def test_overflow_is_step_failure(self):
+        # some 65 squarings amplify the roundoff of a unitary Pade
+        # approximant until it overflows
+        with pytest.raises(StepFailure):
+            expm(1e20 * RosenZener().A(0.3))
 
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
@@ -156,26 +163,6 @@ class TestCommutators:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             commutator(np.eye(2), np.eye(3))
-
-
-class TestKron:
-    def test_identity_left(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        result = kron(np.eye(2), b)
-        assert np.array_equal(result[:2, :2], b.astype(complex))
-        assert np.array_equal(result[2:, 2:], b.astype(complex))
-        assert np.linalg.norm(result[:2, 2:]) == 0.0
-
-    def test_antiblock(self):
-        result = kron(SIGMA1, np.eye(2))
-        expected = np.zeros((4, 4), dtype=np.complex128)
-        expected[:2, 2:] = np.eye(2)
-        expected[2:, :2] = np.eye(2)
-        assert np.array_equal(result, expected)
-
-    def test_diagonal(self):
-        result = kron(np.diag([2.0, 3.0]), np.diag([5.0, 7.0]))
-        assert np.allclose(result, np.diag([10.0, 14.0, 15.0, 21.0]))
 
 
 class TestFFT:

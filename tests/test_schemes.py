@@ -223,6 +223,23 @@ class TestExponentialSteppers:
             with pytest.raises(ValueError):
                 call()
 
+    @pytest.mark.parametrize(
+        "scheme", [EXPMID_AS_CFM, CF4, MAGNUS4], ids=["expmid", "cf4", "magnus4"]
+    )
+    def test_non_finite_stage_vector_fails_the_step(self, scheme):
+        # a non-finite state, or a defect overflowing at a huge step, fails
+        # the step before a stage exponential would reject it as bad input
+        prob = RosenZener(k=3)
+        u = prob.initial_state()
+        with pytest.raises(StepFailure):
+            step_cfm(scheme, prob, 0.1, 0.2, np.full_like(u, np.nan))
+        for variant in ("taylor", "hermite"):
+            with pytest.raises(StepFailure):
+                cfm_defect(scheme, prob, 0.1, 0.2, np.full_like(u, np.nan), variant=variant)
+        if scheme is MAGNUS4:  # tau^2 [A_1, A_2] times a vanishing generator
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepFailure):
+                cfm_defect(scheme, prob, 0.0, 1e300, u)
+
     def test_gauss_nodes(self):
         c1, c2 = GAUSS2_NODES
         assert c1 < c2 and abs(c1 + c2 - 1.0) <= 1e-15
