@@ -112,13 +112,16 @@ def _ladder(row_type, tau_list, measure):
 
 def run_local_study(problem, method, tau_list, u0=None, t0=0.0, ref_tol=1e-12):
     """One step per ladder level: local error against the reference solution
-    and deviation of the defect-based estimator from that error."""
+    and deviation of the defect-based estimator from that error. The
+    references of all levels come from one shared solve, before the ladder."""
     u0 = problem.initial_state() if u0 is None else np.asarray(u0, np.complex128)
+    ends = [t0 + tau for tau in tau_list]
+    references = dict(zip(tau_list, reference_solve(problem, t0, ends, u0, tol=ref_tol)))
 
     def measure(tau):
         u_next, d = method.step_with_defect(problem, t0, tau, u0)
         estimator = estimator_scale(tau, method.order) * d
-        reference = reference_solve(problem, t0, t0 + tau, u0, tol=ref_tol)
+        reference = references[tau]
         err = state_norm(problem, u_next - reference)
         return err, state_norm(problem, estimator - (u_next - reference))
 
@@ -305,18 +308,15 @@ def main(argv=None):
     except ValueError as exc:
         parser.error(str(exc))
 
-    if args.command == "local":
-        rows = run_local_study(problem, method, dyadic_ladder(args.tau_max, args.levels))
-        _emit(rows, args)
-        return 1 if any(row.failed for row in rows) else 0
-
-    if args.command == "global":
+    if args.command in ("local", "global"):
+        ladder = dyadic_ladder(args.tau_max, args.levels)
         try:
-            rows = run_global_study(
-                problem, method, dyadic_ladder(args.tau_max, args.levels), args.t_end
-            )
+            if args.command == "local":
+                rows = run_local_study(problem, method, ladder)
+            else:
+                rows = run_global_study(problem, method, ladder, args.t_end)
         except (StepFailure, ConvergenceFailure) as exc:  # from the reference solve
-            sys.stderr.write(f"global study aborted: {exc}\n")
+            sys.stderr.write(f"{args.command} study aborted: {exc}\n")
             return 1
         _emit(rows, args)
         return 1 if any(row.failed for row in rows) else 0

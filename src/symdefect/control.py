@@ -178,52 +178,81 @@ def _default_reference_method(problem):
     raise ValueError(f"a problem needs one of {sorted(FAMILY_NEEDS.values())}")
 
 
-def corrected_run(problem, method, t0, t_end, u0, steps):
-    """Fixed-step integration propagating the corrected state each step."""
+def corrected_run(problem, method, t0, t_end, u0, steps, record=()):
+    """Fixed-step integration propagating the corrected state each step.
+    Returns the final state and {i: state after i steps} for i in record."""
     tau = (t_end - t0) / steps
     u = np.asarray(u0, dtype=np.complex128)
+    kept = {}
     for i in range(steps):
         u_next, d = method.step_with_defect(problem, t0 + i * tau, tau, u)
         u = u_next - estimator_scale(tau, method.order) * d
-    return u
+        if i + 1 in record:
+            kept[i + 1] = u
+    return u, kept
+
+
+def _closed_form(problem, t0, u0):
+    """The closed-form solution as a function of the end time, or None."""
+    if hasattr(problem, "exact_solution"):
+        return lambda t_end: problem.exact_solution(t_end - t0, u0)
+    if (
+        hasattr(problem, "exact_state")
+        and getattr(problem, "initial", None) == "soliton"
+        and np.array_equal(u0, problem.exact_state(t0))
+    ):
+        return problem.exact_state
 
 
 def reference_solve(
-    problem, t0, t_end, u0, tol=1e-12, method=None, use_exact=True, max_levels=20
+    problem, t0, t_end, u0, tol=1e-12, method=None, use_exact=True, max_steps=2**13
 ):
-    """High-accuracy solution of the problem at t_end.
+    """High-accuracy solution of the problem at t_end, or the list of them
+    for a sequence of end times.
 
     When the problem knows a closed-form solution (and, for time-anchored
     ones, u0 is the closed-form state at t0), the closed form is sampled;
-    ``use_exact=False`` disables this shortcut. Otherwise the interval is
+    ``use_exact=False`` disables this shortcut. Otherwise each interval is
     integrated with the highest-order available corrected scheme, doubling
     the step count until two consecutive answers differ by less than tol,
-    and the finer answer is returned.
+    and the finer answer is returned. Ends are solved longest first; a run
+    keeps the states it passes where a later end's run would take the same
+    steps, and that end reuses them, so each answer is bitwise that of a
+    call for its end alone. All runs of one call take at most ``max_steps``
+    steps in total, or :class:`ConvergenceFailure` is raised.
     """
     u0 = np.asarray(u0, dtype=np.complex128)
-    if t_end == t0:
-        return u0.copy()
-    if use_exact and method is None:
-        if hasattr(problem, "exact_solution"):
-            return problem.exact_solution(t_end - t0, u0)
-        if (
-            hasattr(problem, "exact_state")
-            and getattr(problem, "initial", None) == "soliton"
-            and np.array_equal(u0, problem.exact_state(t0))
-        ):
-            return problem.exact_state(t_end)
-    method = method or _default_reference_method(problem)
-    steps = 1
-    previous = None
-    for _ in range(max_levels):
-        current = corrected_run(problem, method, t0, t_end, u0, steps)
-        if previous is not None and state_norm(problem, current - previous) < tol:
-            return current
-        previous = current
-        steps *= 2
-    raise ConvergenceFailure(
-        f"reference solve did not converge to {tol:g} within {max_levels} halvings"
-    )
+    ends = [t_end] if np.ndim(t_end) == 0 else list(t_end)
+    exact = _closed_form(problem, t0, u0) if use_exact and method is None else None
+    order = sorted(range(len(ends)), key=lambda k: -abs(ends[k] - t0))
+    states, runs, budget = {}, {}, max_steps  # runs: (step, steps) -> state
+    for position, k in enumerate(order):
+        span = ends[k] - t0
+        if span == 0 or exact is not None:
+            states[k] = u0.copy() if span == 0 else exact(ends[k])
+            continue
+        method = method or _default_reference_method(problem)
+        later = [ends[j] - t0 for j in order[position + 1 :]]
+        steps, previous, diff = 1, None, math.inf
+        while not diff < tol:  # a NaN difference keeps doubling
+            h = span / steps
+            current = runs.get((h, steps))
+            if current is None:
+                if steps > budget:
+                    raise ConvergenceFailure(
+                        f"reference solve used up its budget of {max_steps} steps "
+                        f"before converging to {tol:g} (last difference {diff:.3e})"
+                    )
+                budget -= steps
+                # key (h, i) is i steps of h from t0, whichever end's run took them
+                record = {round(s / h) for s in later if 1 <= s / h <= steps}
+                current, kept = corrected_run(problem, method, t0, ends[k], u0, steps, record)
+                runs.update(((h, i), state) for i, state in kept.items())
+            if previous is not None:
+                diff = state_norm(problem, current - previous)
+            previous, steps = current, 2 * steps
+        states[k] = previous
+    return states[0] if np.ndim(t_end) == 0 else [states[k] for k in range(len(ends))]
 
 
 # -- integral representations of the local error ------------------------------

@@ -196,4 +196,5 @@ def _hermite_action(bj, bcheck, tau, x, sign):
     if bcheck is None:
         return 0.5 * bx
     cx, cbx = bcheck(np.stack((x, bx), axis=1)).T
-    return 0.5 * (bx + tau * cx) + (sign * tau * tau / 12.0) * (bj @ cx - cbx)
+    with np.errstate(over="ignore", invalid="ignore"):  # stage vectors are checked
+        return 0.5 * (bx + tau * cx) + (sign * tau * tau / 12.0) * (bj @ cx - cbx)

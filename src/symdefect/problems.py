@@ -168,15 +168,18 @@ class RosenZener:
         idx = np.arange(self.k - 1)
         coupling[idx, idx + 1] = 1.0
         coupling[idx + 1, idx] = 1.0
-        self._h1 = np.kron(sigma1, np.eye(self.k, dtype=np.complex128))
-        self._h2 = np.kron(sigma2, coupling)
+        self._a1 = -1j * np.kron(sigma1, np.eye(self.k, dtype=np.complex128))
+        self._a2 = -1j * np.kron(sigma2, coupling)
 
+    @np.errstate(over="ignore")  # here and below: cosh(huge t) = inf, sech -> 0
     def f1(self, t):
         return self.amplitude * np.cos(self.omega * t) / np.cosh(t / self.pulse_duration)
 
+    @np.errstate(over="ignore")
     def f2(self, t):
         return self.amplitude * np.sin(self.omega * t) / np.cosh(t / self.pulse_duration)
 
+    @np.errstate(over="ignore")
     def df1(self, t):
         sech = 1.0 / np.cosh(t / self.pulse_duration)
         tanh = np.tanh(t / self.pulse_duration)
@@ -185,6 +188,7 @@ class RosenZener:
             - np.cos(self.omega * t) * tanh / self.pulse_duration
         )
 
+    @np.errstate(over="ignore")
     def df2(self, t):
         sech = 1.0 / np.cosh(t / self.pulse_duration)
         tanh = np.tanh(t / self.pulse_duration)
@@ -194,10 +198,10 @@ class RosenZener:
         )
 
     def A(self, t):
-        return -1j * (self.f1(t) * self._h1 + self.f2(t) * self._h2)
+        return self.f1(t) * self._a1 + self.f2(t) * self._a2
 
     def dA(self, t):
-        return -1j * (self.df1(t) * self._h1 + self.df2(t) * self._h2)
+        return self.df1(t) * self._a1 + self.df2(t) * self._a2
 
     def initial_state(self):
         return np.ones(self.dim, dtype=np.complex128)

@@ -1,5 +1,6 @@
 """Benchmark CLI: study drivers, serialization round-trips, subcommands."""
 
+import functools
 import math
 import time
 
@@ -212,21 +213,20 @@ class TestMain:
             ["global", "--scheme", "cf4", "--tau-max", "1e200", "--levels", "1",
              "--t-end", "1e200"],
         ],
-        ids=["local-row", "global-reference"],
+        ids=["local-reference", "global-reference"],
     )
     def test_overflowing_huge_step_fails_cleanly(self, argv, capsys):
-        # the local step fails its row; the global reference solve, run
-        # before the ladder, aborts the study with one line
+        # the reference solve, run before the ladder, overflows and aborts
+        # the study with one line: no rows, no traceback, no numpy warning
         command, *settings = argv
         start = time.monotonic()
         code = main([command, "--problem", "rosen-zener", *settings])
         assert time.monotonic() - start < 5.0
         assert code == 1
         captured = capsys.readouterr()
-        assert "Traceback" not in captured.err
-        if command == "global":
-            assert captured.err.splitlines()[-1].startswith("global study aborted:")
-            assert captured.out == ""
+        assert captured.err.startswith(f"{command} study aborted:")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.out == ""
 
     def test_reference_convergence_failure_aborts_global(self, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -237,6 +237,30 @@ class TestMain:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "global study aborted: did not converge\n"
+
+    def test_reference_convergence_failure_aborts_local(self, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ConvergenceFailure("did not converge")
+
+        monkeypatch.setattr(cli, "reference_solve", no_convergence)
+        code = main(["local", "--problem", "toy-split", "--scheme", "strang"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "local study aborted: did not converge\n"
+        assert captured.out == ""
+
+    def test_reference_step_budget_aborts_local(self, capsys, monkeypatch):
+        # the differences of a span of 1e10 only halve per level; a small
+        # budget makes the same failure as the default one, in less time
+        budgeted = functools.partial(cli.reference_solve, max_steps=64)
+        monkeypatch.setattr(cli, "reference_solve", budgeted)
+        argv = ["local", "--problem", "rosen-zener", "--scheme", "expmid",
+                "--tau-max", "1e10", "--levels", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("local study aborted: reference solve used up")
+        assert "budget of 64 steps" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "setting", [["--tol", "-1"], ["--tau-max", "-0.5"]], ids=["tol", "tau-max"]

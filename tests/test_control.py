@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdefect import control
 from symdefect.control import (
     METHOD_NAMES,
     AdaptiveConfig,
@@ -21,7 +22,7 @@ from symdefect.control import (
     reference_solve,
     state_norm,
 )
-from symdefect.errors import StepFailure
+from symdefect.errors import ConvergenceFailure, StepFailure
 from symdefect.problems import CubicNLS, RosenZener, ToySplit
 
 from oracles import (
@@ -168,6 +169,67 @@ class TestReferenceSolve:
         out = reference_solve(prob, 0.0, 0.4, u0, tol=1e-13, use_exact=False)
         oracle = rk4(prob.f, u0, 0.4, 50_000)
         assert abs(out[0] - oracle[0]) <= 1e-11
+
+
+class TestSharedReferenceSolve:
+    """One call over several end times against one call per end."""
+
+    @pytest.fixture
+    def counted_steps(self, monkeypatch):
+        steps = []
+        run = control.corrected_run
+
+        def counting(problem, method, t0, t_end, u0, steps_, *args):
+            steps.append(steps_)
+            return run(problem, method, t0, t_end, u0, steps_, *args)
+
+        monkeypatch.setattr(control, "corrected_run", counting)
+        return steps
+
+    # the longest end's doubling reaches the finest end's step tau_max/64 on
+    # these ladders, so its runs serve every finer end
+    @pytest.mark.parametrize(
+        "problem, tau_max",
+        [(RosenZener(k=5), 1.0), (ToySplit(), 4.0)],
+        ids=["rosen-zener", "toy-split"],
+    )
+    def test_dyadic_ladder_is_bitwise_per_end(self, problem, tau_max, counted_steps):
+        u0 = problem.initial_state()
+        ends = [tau_max / 2**i for i in range(6)]
+        solve = lambda t_end: reference_solve(problem, 0.0, t_end, u0, use_exact=False)
+        shared = solve(ends)
+        shared_steps = sum(counted_steps)
+        counted_steps.clear()
+        alone = [solve(t_end) for t_end in ends]
+        longest_steps = counted_steps[: counted_steps.index(max(counted_steps)) + 1]
+        assert len(shared) == len(ends)
+        assert all(np.array_equal(a, b) for a, b in zip(shared, alone))
+        assert shared_steps <= sum(longest_steps) < sum(counted_steps)
+
+    def test_off_zero_start_and_any_order(self):
+        toy = ToySplit()
+        u0 = np.array([0.8 + 0j])
+        t0, ends = 0.1, [0.3, 1.1, 0.6, 0.1, 0.35]
+        shared = reference_solve(toy, t0, ends, u0, use_exact=False)
+        for t_end, state in zip(ends, shared):
+            alone = reference_solve(toy, t0, t_end, u0, use_exact=False)
+            assert np.array_equal(state, alone)
+            assert abs(state[0] - toy.exact_solution(t_end - t0, u0)[0]) <= 1e-11
+        assert reference_solve(toy, t0, [], u0) == []
+
+    def test_closed_form_per_end(self):
+        toy = ToySplit()
+        u0 = np.array([0.8 + 0j])
+        shared = reference_solve(toy, 0.0, [0.3, 0.0], u0)
+        assert np.array_equal(shared[0], toy.exact_solution(0.3, u0))
+        assert np.array_equal(shared[1], u0) and shared[1] is not u0
+
+    def test_step_budget_ends_in_convergence_failure(self, counted_steps):
+        # on a span of 1e10 the difference of consecutive levels only halves
+        zener = RosenZener(k=5)
+        with pytest.raises(ConvergenceFailure, match=r"budget of 100 steps.*difference"):
+            reference_solve(zener, 0.0, 1e10, zener.initial_state(), max_steps=100)
+        assert counted_steps == [1, 2, 4, 8, 16, 32]
 
 
 class TestIntegralOracle:
