@@ -22,12 +22,11 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .control import (
     METHOD_NAMES,
     AdaptiveConfig,
     adaptive_integrate,
+    corrected_run,
     estimator_scale,
     make_method,
     method_needs,
@@ -110,16 +109,15 @@ def _ladder(row_type, tau_list, measure):
     return rows
 
 
-def run_local_study(problem, method, tau_list, u0=None, t0=0.0, ref_tol=1e-12):
-    """One step per ladder level: local error against the reference solution
-    and deviation of the defect-based estimator from that error. The
-    references of all levels come from one shared solve, before the ladder."""
-    u0 = problem.initial_state() if u0 is None else np.asarray(u0, np.complex128)
-    ends = [t0 + tau for tau in tau_list]
-    references = dict(zip(tau_list, reference_solve(problem, t0, ends, u0, tol=ref_tol)))
+def run_local_study(problem, method, tau_list):
+    """One step per ladder level from t = 0 and the initial state: local error
+    against the reference solution and deviation of the defect-based estimator
+    from that error, the references of all levels from one shared solve."""
+    u0 = problem.initial_state()
+    references = dict(zip(tau_list, reference_solve(problem, 0.0, tau_list, u0)))
 
     def measure(tau):
-        u_next, d = method.step_with_defect(problem, t0, tau, u0)
+        u_next, d = method.step_with_defect(problem, 0.0, tau, u0)
         estimator = estimator_scale(tau, method.order) * d
         reference = references[tau]
         err = state_norm(problem, u_next - reference)
@@ -128,36 +126,31 @@ def run_local_study(problem, method, tau_list, u0=None, t0=0.0, ref_tol=1e-12):
     return _ladder(ConvergenceRow, tau_list, measure)
 
 
-def run_global_study(problem, method, tau_list, t_end, u0=None, t0=0.0, ref_tol=1e-12):
-    """Fixed-step integration to t_end per ladder level, propagating the
-    basic and the corrected solution side by side."""
-    u0 = problem.initial_state() if u0 is None else np.asarray(u0, np.complex128)
-    span = t_end - t0
+def run_global_study(problem, method, tau_list, t_end):
+    """Fixed-step integration from t = 0 and the initial state to t_end per
+    ladder level, propagating the basic and the corrected solution side by side."""
+    u0 = problem.initial_state()
     # global errors are measured against the semidiscrete flow itself, so the
     # closed-form shortcut (exact up to the spatial discretization error
     # only) is bypassed here
-    reference = reference_solve(problem, t0, t_end, u0, tol=ref_tol, use_exact=False)
+    reference = reference_solve(problem, 0.0, t_end, u0, use_exact=False)
 
     def measure(tau):
-        steps = _step_count(span, tau)
+        steps = _step_count(t_end, tau)
+        h = t_end / steps  # the ladder's tau itself on a dyadic ladder
         plain = u0
-        corrected = u0
-        factor = estimator_scale(tau, method.order)
         for i in range(steps):
-            t = t0 + i * tau
-            plain = method.step(problem, t, tau, plain)
-            u_next, d = method.step_with_defect(problem, t, tau, corrected)
-            corrected = u_next - factor * d
+            plain = method.step(problem, i * h, h, plain)
+        corrected, _ = corrected_run(problem, method, 0.0, t_end, u0, steps)
         g_err = state_norm(problem, plain - reference)
         return g_err, state_norm(problem, corrected - reference)
 
     return _ladder(GlobalRow, tau_list, measure)
 
 
-def run_adaptive(problem, method, config, t_end, u0=None, t0=0.0):
-    """Adaptive integration returning the final state and the step trace."""
-    u0 = problem.initial_state() if u0 is None else np.asarray(u0, np.complex128)
-    return adaptive_integrate(problem, method, config, t0, t_end, u0)
+def run_adaptive(problem, method, config, t_end):
+    """Adaptive run from t = 0 and the initial state: (final state, step trace)."""
+    return adaptive_integrate(problem, method, config, 0.0, t_end, problem.initial_state())
 
 
 # -- serialization --------------------------------------------------------------

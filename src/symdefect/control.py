@@ -41,7 +41,6 @@ __all__ = [
     "Method",
     "make_method",
     "METHOD_NAMES",
-    "FAMILY_NEEDS",
     "method_needs",
     "reference_solve",
     "local_error_integral_oracle",
@@ -98,11 +97,6 @@ class Method:
     step_with_defect: Callable
 
 
-#: Problem method each scheme family needs; a problem without it cannot
-#: run the family's schemes.
-FAMILY_NEEDS = {"implicit": "f", "splitting": "flow_B", "exponential": "A"}
-
-
 # A family's builder takes (tableau, defect, variant) and returns the pair
 # (step, step_with_defect), both taking (problem, t0, tau, u). The pair looks
 # the package functions up when called, so wrappers installed on the module
@@ -132,24 +126,24 @@ def _cfm(scheme, defect, variant):
     )
 
 
-# name -> (family, builder, tableau, order, defect kinds)
+# name -> (problem method it needs, builder, tableau, order, defect kinds)
 _BOTH, _SYM = ("classical", "symmetrized"), ("symmetrized",)
 _METHODS = {
-    "imr": ("implicit", _implicit_midpoint, None, 2, _BOTH),
-    "strang": ("splitting", _splitting, STRANG, STRANG.order, _BOTH),
-    "emb43aks": ("splitting", _splitting, EMB43AKS, EMB43AKS.order, _SYM),
-    "expmid": ("exponential", _cfm, EXPMID_AS_CFM, EXPMID_AS_CFM.order, _SYM),
-    "cf4": ("exponential", _cfm, CF4, CF4.order, _SYM),
-    "magnus4": ("exponential", _cfm, MAGNUS4, MAGNUS4.order, _SYM),
+    "imr": ("f", _implicit_midpoint, None, 2, _BOTH),
+    "strang": ("flow_B", _splitting, STRANG, STRANG.order, _BOTH),
+    "emb43aks": ("flow_B", _splitting, EMB43AKS, EMB43AKS.order, _SYM),
+    "expmid": ("A", _cfm, EXPMID_AS_CFM, EXPMID_AS_CFM.order, _SYM),
+    "cf4": ("A", _cfm, CF4, CF4.order, _SYM),
+    "magnus4": ("A", _cfm, MAGNUS4, MAGNUS4.order, _SYM),
 }
 METHOD_NAMES = tuple(_METHODS)
 
 
 def method_needs(name):
-    """Problem method the family of scheme ``name`` needs."""
+    """Problem method scheme ``name`` needs; a problem without it cannot run it."""
     if name not in _METHODS:
         raise ValueError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
-    return FAMILY_NEEDS[_METHODS[name][0]]
+    return _METHODS[name][0]
 
 
 def make_method(name, defect="symmetrized", variant="hermite"):
@@ -175,7 +169,7 @@ def _default_reference_method(problem):
     for name in ("magnus4", "emb43aks", "imr"):
         if hasattr(problem, method_needs(name)):
             return make_method(name)
-    raise ValueError(f"a problem needs one of {sorted(FAMILY_NEEDS.values())}")
+    raise ValueError(f"a problem needs one of {sorted({row[0] for row in _METHODS.values()})}")
 
 
 def corrected_run(problem, method, t0, t_end, u0, steps, record=()):
@@ -320,22 +314,20 @@ def local_error_integral_oracle(
 # -- adaptive step-size control ------------------------------------------------
 
 
+_SAFETY, _RATIO_MIN, _RATIO_MAX = 0.9, 0.25, 4.0
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Settings of the proportional controller. ``tol`` bounds the 2-norm of
-    the local error estimate per step."""
+    """Settings of the proportional controller, whose factors are fixed (see
+    :func:`propose_step`). ``tol`` bounds the norm of each step's estimate."""
 
     tol: float
     tau_init: float
     tau_min: float = 1e-10
     tau_max: float = 1.0
-    safety: float = 0.9
-    ratio_min: float = 0.25
-    ratio_max: float = 4.0
 
     def __post_init__(self):
-        if not 0.0 < self.ratio_min < 1.0 < self.ratio_max:
-            raise ValueError("need 0 < ratio_min < 1 < ratio_max")
         if not self.tau_min <= self.tau_init <= self.tau_max:
             raise ValueError("need tau_min <= tau_init <= tau_max")
         if not self.tol > 0.0:
@@ -352,16 +344,16 @@ class StepRecord:
 
 def propose_step(tau, err, tol, order, config):
     """Next step size of the classic controller:
-    tau * clamp(safety * (tol/err)^(1/(p+1)), ratio_min, ratio_max),
-    clamped into [tau_min, tau_max]. A non-finite err shrinks by ratio_min,
-    so a step that keeps failing ends in the controller's stall check."""
+    tau * clamp(0.9 * (tol/err)^(1/(p+1)), 1/4, 4), clamped into
+    [tau_min, tau_max] of ``config``. A non-finite err shrinks by 1/4, so a
+    step that keeps failing ends in the controller's stall check."""
     if not math.isfinite(err):
-        ratio = config.ratio_min
+        ratio = _RATIO_MIN
     elif err == 0.0:
-        ratio = config.ratio_max
+        ratio = _RATIO_MAX
     else:
-        ratio = config.safety * (tol / err) ** (1.0 / (order + 1))
-        ratio = min(max(ratio, config.ratio_min), config.ratio_max)
+        ratio = _SAFETY * (tol / err) ** (1.0 / (order + 1))
+        ratio = min(max(ratio, _RATIO_MIN), _RATIO_MAX)
     return min(max(tau * ratio, config.tau_min), config.tau_max)
 
 

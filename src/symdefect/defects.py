@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import StepFailure
 from .schemes import (
     STRANG,
     _stage_action,
@@ -151,7 +152,7 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
     Only matrix-vector products are formed: the stage exponentials act
     through :func:`~symdefect.linalg.expm_action`, one call per vector, and
     every commutator with Bcheck_j is applied to the vectors it acts on. A
-    vector no longer finite there (a huge step overflowing) fails the step.
+    stage vector or defect no longer finite (a huge step) fails the step.
     """
     if variant not in ("taylor", "hermite"):
         raise ValueError(f"variant must be 'taylor' or 'hermite', got {variant!r}")
@@ -167,6 +168,8 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
             u = _stage_action(generator, u)
             d = d + _hermite_action(bj, bcheck, tau, u, 1.0)
     d = d - 0.5 * (problem.A(t0 + tau) @ u)
+    if not np.isfinite(d).all():
+        raise StepFailure("exponential defect is not finite")
     return DefectOutput(u, d)
 
 
@@ -181,11 +184,12 @@ def _gamma_action(bj, bcheck, tau, order, x):
     for _ in range(order - 1):
         powers.append(bj @ powers[-1])
     nested = bcheck(np.stack(powers, axis=1))
-    gamma, coeff = powers[1] + tau * nested[:, 0], tau
-    for m in range(1, order):
-        nested = bj @ nested[:, :-1] - nested[:, 1:]
-        coeff *= tau / (m + 1)
-        gamma = gamma + coeff * nested[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
+        gamma, coeff = powers[1] + tau * nested[:, 0], tau
+        for m in range(1, order):
+            nested = bj @ nested[:, :-1] - nested[:, 1:]
+            coeff *= tau / (m + 1)
+            gamma = gamma + coeff * nested[:, 0]
     return gamma
 
 

@@ -52,7 +52,7 @@ class CubicNLS:
     """Cubic Schroedinger equation i psi_t = -1/2 psi_xx - |psi|^2 psi.
 
     Discretized by Fourier collocation on n equidistant points of the
-    periodic interval [x_min, x_max). The semidiscrete system reads
+    periodic interval [-16, 16). The semidiscrete system reads
     u' = A u + B(u) with A the spectral realization of (i/2) d_xx and
     B(u) = i |u|^2 u acting pointwise.
 
@@ -64,35 +64,23 @@ class CubicNLS:
 
     `initial` selects the start state: "soliton" samples the exact soliton
     at t = 0 (and enables :meth:`exact_state`), "two-soliton" superposes two
-    counter-propagating solitary waves.
+    counter-propagating solitary waves of amplitude 2 (`carriers`, `centers`).
     """
 
-    def __init__(
-        self,
-        n=512,
-        x_min=-16.0,
-        x_max=16.0,
-        initial="soliton",
-        amplitudes=(2.0, 2.0),
-        carriers=(1.0, -3.0),
-        centers=(5.0, -5.0),
-    ):
+    def __init__(self, n=512, initial="soliton", carriers=(1.0, -3.0), centers=(5.0, -5.0)):
         if n <= 0 or n & (n - 1):
             raise ValueError(f"grid size must be a power of two, got {n}")
         if initial not in ("soliton", "two-soliton"):
             raise ValueError(f"unknown initial condition {initial!r}")
         self.n = n
-        self.x_min = float(x_min)
-        self.x_max = float(x_max)
-        length = self.x_max - self.x_min
-        self.x = self.x_min + length * np.arange(n) / n
+        self.x = -16.0 + 32.0 * np.arange(n) / n
         modes = np.concatenate((np.arange(0, n // 2), np.arange(-n // 2, 0)))
-        self.wavenumbers = (2.0 * np.pi / length) * modes
+        self.wavenumbers = (2.0 * np.pi / 32.0) * modes
         self._half_ksq = 0.5 * self.wavenumbers**2
         self.initial = initial
-        self._two_soliton = (amplitudes, carriers, centers)
+        self._two_soliton = tuple(zip(carriers, centers))
         # discrete L2 norm weight sqrt(h); error tables are stated in this norm
-        self.norm_weight = float(np.sqrt(length / n))
+        self.norm_weight = float(np.sqrt(32.0 / n))
 
     # -- linear part -------------------------------------------------------
 
@@ -127,10 +115,9 @@ class CubicNLS:
     def initial_state(self):
         if self.initial == "soliton":
             return self.exact_state(0.0)
-        amps, carriers, centers = self._two_soliton
         u = np.zeros(self.n, dtype=np.complex128)
-        for a, b, c in zip(amps, carriers, centers):
-            u += a * np.exp(-1j * b * self.x) / np.cosh(a * (self.x - c))
+        for b, c in self._two_soliton:
+            u += 2.0 * np.exp(-1j * b * self.x) / np.cosh(2.0 * (self.x - c))
         return u
 
     def exact_state(self, t):

@@ -185,10 +185,10 @@ def cfm_stages(scheme, problem, t0, tau, derivatives=False):
              = sum_k a[j][k] (c_k - 1/2) A'_k
                + g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
                                  + tau (c_2 - 1/2) [A_1, A'_2]),
-    A' sampled only at nodes c_k != 1/2. Bcheck_j is returned as its action
-    x -> Bcheck_j x on a vector or an (n, k) block, the commutators with A'
-    applied by matrix-vector products; it is None where it vanishes
-    identically (every a[j][k] (c_k - 1/2) and g_j zero).
+    A' sampled only at nodes c_k != 1/2. Each stage's Bcheck_j is one
+    closure, the action x -> Bcheck_j x on a vector or an (n, k) block with
+    the commutators applied by matrix-vector products; it is None where it
+    vanishes identically (every a[j][k] (c_k - 1/2) and g_j zero).
     """
     if not np.isfinite(tau):
         raise ValueError(f"step size must be finite, got {tau!r}")
@@ -197,11 +197,9 @@ def cfm_stages(scheme, problem, t0, tau, derivatives=False):
     shifts = [ck - 0.5 for ck in scheme.nodes]
     g = scheme.commutators or (0.0,) * scheme.stages
     slopes = [problem.dA(t) if derivatives and sk else None for t, sk in zip(times, shifts)]
-    comm = dcomm = None
+    comm = None
     if any(g):
         comm = commutator(samples[0], samples[1])
-        if derivatives:
-            dcomm = _dcomm_action(comm, tau, samples, shifts, slopes)
     stages = []
     for row, gj in zip(scheme.weights, g):
         bj = row[0] * samples[0]
@@ -211,36 +209,29 @@ def cfm_stages(scheme, problem, t0, tau, derivatives=False):
             bj = bj + (gj * tau) * comm
         if derivatives:
             terms = [(ajk * sk, da) for ajk, sk, da in zip(row, shifts, slopes) if ajk * sk]
-            bj = (bj, _bcheck_action(terms, gj, dcomm))
+            bj = (bj, _bcheck_action(terms, gj, tau, comm, samples, shifts, slopes))
         stages.append(bj)
     return stages
 
 
-def _dcomm_action(comm, tau, samples, shifts, slopes):
-    """x -> ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
-              + tau (c_2 - 1/2) [A_1, A'_2]) x, the commutators with A'
-    applied by matrix-vector products."""
-    (a1, a2), (s1, s2), (da1, da2) = samples, shifts, slopes
-
-    def apply(x):
-        y = comm @ x
-        if s1:
-            y = y + (tau * s1) * (da1 @ (a2 @ x) - a2 @ (da1 @ x))
-        if s2:
-            y = y + (tau * s2) * (a1 @ (da2 @ x) - da2 @ (a1 @ x))
-        return y
-
-    return apply
-
-
-def _bcheck_action(terms, gj, dcomm):
-    """The action x -> sum_k w_k A'_k x + g_j dcomm(x) of one stage's Bcheck
-    from its node terms (w_k, A'_k), or None when it vanishes identically."""
+def _bcheck_action(terms, gj, tau, comm, samples, shifts, slopes):
+    """The action x -> g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
+    + tau (c_2 - 1/2) [A_1, A'_2]) x + sum_k w_k A'_k x of one stage's
+    Bcheck from its node terms (w_k, A'_k), the commutators with A' applied
+    by matrix-vector products, or None when it vanishes identically."""
     if not (terms or gj):
         return None
 
     def apply(x):
-        y = gj * dcomm(x) if gj else 0.0
+        y = 0.0
+        if gj:
+            (a1, a2), (s1, s2), (da1, da2) = samples, shifts, slopes
+            y = comm @ x
+            if s1:
+                y = y + (tau * s1) * (da1 @ (a2 @ x) - a2 @ (da1 @ x))
+            if s2:
+                y = y + (tau * s2) * (a1 @ (da2 @ x) - da2 @ (a1 @ x))
+            y = gj * y
         for weight, slope in terms:
             y = y + weight * (slope @ x)
         return y

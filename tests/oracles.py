@@ -211,6 +211,9 @@ class ConstantLinear:
     def dA(self, t):
         return np.zeros_like(self.a0)
 
+    def initial_state(self):
+        return np.ones(self.dim, dtype=np.complex128)
+
 
 def random_skew_hermitian(rng, n, scale=1.0):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

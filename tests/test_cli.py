@@ -2,6 +2,9 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -82,8 +85,7 @@ class TestStudies:
 
         rng = np.random.default_rng(0)
         prob = ConstantLinear(random_skew_hermitian(rng, 6))
-        u0 = np.ones(6, dtype=np.complex128)
-        rows = run_local_study(prob, make_method("expmid"), dyadic_ladder(0.2, 3), u0=u0)
+        rows = run_local_study(prob, make_method("expmid"), dyadic_ladder(0.2, 3))
         assert all(row.err_norm <= 1e-12 for row in rows)
 
     def test_failed_row_is_marked(self):
@@ -205,6 +207,26 @@ class TestMain:
         trace = parse_csv(out.read_text(), StepRecord)
         accepted = [rec for rec in trace if rec.accepted]
         assert abs(math.fsum(rec.tau for rec in accepted) - 0.5) <= 1e-12
+
+    def test_module_entry_point_in_a_fresh_interpreter(self):
+        # as users run it: ``python -m symdefect.cli``, with numpy's
+        # RuntimeWarnings turned into errors; stdout parses back, stderr is empty
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        common = ["--problem", "toy-split", "--scheme", "strang", "--format", "csv"]
+        runs = [
+            (["local", "--levels", "2"], ConvergenceRow),
+            (["global", "--levels", "2", "--tau-max", "0.1", "--t-end", "0.2"], GlobalRow),
+            (["adaptive", "--t-end", "0.2"], StepRecord),
+        ]
+        for args, row_type in runs:
+            argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "symdefect.cli"]
+            out = subprocess.run(
+                argv + args + common, capture_output=True, text=True, env=env, timeout=120
+            )
+            assert (out.returncode, out.stderr) == (0, ""), args
+            rows = parse_csv(out.stdout, row_type)
+            assert rows and rows_to_csv(rows) == out.stdout
 
     @pytest.mark.parametrize(
         "argv",

@@ -307,17 +307,15 @@ class TestController:
             AdaptiveConfig(tol=1e-8, tau_init=0.5, tau_min=1.0, tau_max=0.1)
         with pytest.raises(ValueError):
             AdaptiveConfig(tol=-1.0, tau_init=0.1)
-        with pytest.raises(ValueError):
-            AdaptiveConfig(tol=1e-8, tau_init=0.1, ratio_min=2.0)
 
     def test_propose_step_formula(self):
         cfg = AdaptiveConfig(tol=1e-8, tau_init=0.1, tau_min=1e-9, tau_max=10.0)
         tau = 0.1
-        # err == tol: ratio = safety
+        # err == tol: ratio = the safety factor 0.9
         assert propose_step(tau, 1e-8, 1e-8, 2, cfg) == pytest.approx(0.9 * tau)
-        # zero error: growth capped at ratio_max
+        # zero error: growth capped at the ratio 4
         assert propose_step(tau, 0.0, 1e-8, 2, cfg) == pytest.approx(0.4)
-        # huge error: shrink capped at ratio_min
+        # huge error: shrink capped at the ratio 1/4
         assert propose_step(tau, 1.0, 1e-8, 2, cfg) == pytest.approx(0.025)
 
     def test_propose_step_monotone_in_tolerance(self):
@@ -338,7 +336,7 @@ class TestController:
         _, trace = adaptive_integrate(prob, method, cfg, 0.0, 10.0, u0)
         assert all(rec.accepted for rec in trace)
         taus = [rec.tau for rec in trace]
-        # ratio_max growth until the cap, then flat until the final clamp
+        # 4x growth until the cap, then flat until the final clamp
         for a, b in zip(taus, taus[1:-1]):
             assert b == pytest.approx(min(4.0 * a, 0.5))
         assert max(taus) == pytest.approx(0.5)
