@@ -23,7 +23,7 @@ from symdefect.cli import (
 )
 from symdefect.control import Method, StepRecord, make_method
 from symdefect.errors import ConvergenceFailure, StepFailure
-from symdefect.problems import ToySplit
+from symdefect.problems import RosenZener, ToySplit
 
 from oracles import ScalarQuadratic
 
@@ -69,6 +69,26 @@ class TestStudies:
         # numerically computed reference
         glob = run_global_study(toy, method, [tau], t_end=tau)
         assert glob[0].global_err == pytest.approx(local[0].err_norm, rel=1e-6)
+
+    def test_global_steps_with_t_end_over_steps(self):
+        # on a ladder that is not dyadic, both halves step with t_end / steps
+        # (0.3 / 3 differs from 0.1 in the last bit), the corrected half being
+        # corrected_run itself
+        from symdefect.control import corrected_run, reference_solve, state_norm
+
+        prob = RosenZener()
+        method = make_method("expmid")
+        t_end, steps = 0.3, 3
+        assert t_end / steps != 0.1
+        u0 = prob.initial_state()
+        reference = reference_solve(prob, 0.0, t_end, u0, use_exact=False)
+        plain = u0
+        for i in range(steps):
+            plain = method.step(prob, i * (t_end / steps), t_end / steps, plain)
+        corrected, _ = corrected_run(prob, method, 0.0, t_end, u0, steps)
+        (row,) = run_global_study(prob, method, [0.1], t_end)
+        assert row.global_err == state_norm(prob, plain - reference)
+        assert row.corrected_err == state_norm(prob, corrected - reference)
 
     def test_global_requires_commensurate_tau(self):
         toy = ToySplit()

@@ -1,9 +1,6 @@
-"""The package's import surface: what ``__all__`` promises and the package
-root imports must exist."""
+"""The package's import surface: what ``__all__`` promises must exist."""
 
-import ast
 import importlib
-import os
 import pkgutil
 
 import symdefect
@@ -16,13 +13,3 @@ def test_every_exported_name_is_defined():
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"symdefect.{info.name}.__all__ names undefined {missing}"
 
-
-def test_every_name_the_package_root_imports_resolves():
-    with open(os.path.join(os.path.dirname(symdefect.__file__), "__init__.py")) as handle:
-        tree = ast.parse(handle.read())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module("." * node.level + (node.module or ""), "symdefect")
-        for alias in node.names:
-            assert hasattr(module, alias.name), f"{module.__name__}.{alias.name} is undefined"

@@ -236,6 +236,9 @@ class TestExponentialSteppers:
         for variant in ("taylor", "hermite"):
             with pytest.raises(StepFailure):
                 cfm_defect(scheme, prob, 0.1, 0.2, np.full_like(u, np.nan), variant=variant)
+        if scheme is MAGNUS4:
+            with pytest.raises(StepFailure):
+                cfm_defect(scheme, prob, 0.0, 1e300, u)
         # a huge step gives finite values or fails, and prints no warning
         # (RuntimeWarning is an error in this suite)
         full = RosenZener()
