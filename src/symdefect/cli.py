@@ -22,6 +22,8 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .control import (
     METHOD_NAMES,
     AdaptiveConfig,
@@ -91,13 +93,17 @@ def _order(tau_prev, val_prev, tau, val):
 def _ladder(row_type, tau_list, measure):
     """Rows of a ladder study: ``measure(tau)`` returns the two measured
     norms, whose observed orders come from the previous row. A StepFailure
-    gives a failed NaN row and restarts the orders."""
+    or a norm that is not finite (a huge step overflowing) gives a failed
+    NaN row and restarts the orders."""
     rows = []
     prev = (None, None, None)
     for tau in tau_list:
         try:
-            first, second = measure(tau)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                first, second = measure(tau)
         except StepFailure:
+            first = second = math.nan
+        if not (math.isfinite(first) and math.isfinite(second)):
             rows.append(row_type(tau, math.nan, math.nan, math.nan, math.nan, True))
             prev = (None, None, None)
             continue

@@ -51,6 +51,12 @@ def _check_kind(kind):
         raise ValueError(f"kind must be 'classical' or 'symmetrized', got {kind!r}")
 
 
+def _checked(u_next, d, family):
+    if not np.isfinite(d).all():
+        raise StepFailure(f"{family} defect is not finite")
+    return DefectOutput(u_next, d)
+
+
 def imr_defect(problem, tau, u, kind="symmetrized"):
     """Defect of the implicit midpoint rule via linear solves.
 
@@ -88,54 +94,50 @@ def strang_defect(problem, tau, u, kind="symmetrized"):
 
         d = exp(tau A/2) (B(v2) + dE_B(tau, v1) . (A v1) / 2)
             - A w / 2 - B(w)
+
+    from two weighted A-flows of (2, n) stacks and one fused B-stage; a
+    defect no longer finite (a huge step) fails the step.
     """
     _check_kind(kind)
     if kind == "symmetrized":
         return splitting_defect_semilinear(STRANG, problem, tau, u)
     u = np.asarray(u, dtype=np.complex128)
     half = 0.5 * tau
-    v1 = problem.flow_A(half, u)
-    v2 = problem.flow_B(1.0 * tau, v1)
-    w = problem.flow_A(half, v2)
-    inner = problem.b(v2) + 0.5 * problem.dflow_B(tau, v1, problem.apply_A(v1))
-    d = problem.flow_A(half, inner) - 0.5 * problem.apply_A(w) - problem.b(w)
-    return DefectOutput(w, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
+        a_v1, v1 = problem.flow_A(half, np.stack((np.zeros_like(u), u)), 1.0)
+        transported, v2 = problem.dflow_B_and_flow(tau, v1, a_v1)
+        inner = problem.b(v2) + 0.5 * transported
+        d, w = problem.flow_A(half, np.stack((inner, v2)), -0.5)
+        d = d - problem.b(w)
+    return _checked(w, d, "splitting")
 
 
 def splitting_defect_semilinear(scheme, problem, tau, u):
     """Symmetrized defect of a general splitting step u' = A u + B(u).
 
-    The defect is accumulated alongside the solution: each stage transports
-    defect and state through the A-flow as one (2, n) stack, so
-    ``problem.flow_A`` must act row-wise on a stack; it then adds the
-    stage-weighted A-action of the transported state (with the two boundary
-    stages carrying an extra -1/2, which cancels Strang's weights exactly),
-    adds the weighted B-term and transports the defect through the
-    derivative of the B-subflow. The leading -B(u)/2 and trailing -B(u)/2
-    terms close the symmetrization. The final no-op B-stage (b_J = 0) is
-    skipped.
+    The defect is accumulated alongside the solution. Each A-stage moves
+    defect and state as one (2, n) stack through ``problem.flow_A``, whose
+    stage weight w adds w A exp(tA) u to the moved defect; w is a_j, with
+    the two boundary stages carrying an extra -1/2, which cancels Strang's
+    weights exactly. Each B-stage adds the weighted B-term and moves both
+    through one ``problem.dflow_B_and_flow`` call. The leading and trailing
+    -B(u)/2 terms close the symmetrization; the final no-op B-stage
+    (b_J = 0) is skipped. A defect no longer finite (a huge step) fails
+    the step.
     """
     if scheme.b[-1] != 0.0:
         raise ValueError(f"scheme {scheme.name!r} must end with a pure A-stage (b_J = 0)")
     u = np.asarray(u, dtype=np.complex128)
-    d = -0.5 * problem.b(u)
     last = scheme.stages - 1
-    for j, (aj, bj) in enumerate(zip(scheme.a, scheme.b)):
-        weight = aj
-        if j == 0:
-            weight -= 0.5
-        if j == last:
-            weight -= 0.5
-        # exp(tA)(d + w A u) = exp(tA) d + w A exp(tA) u
-        d, u = problem.flow_A(aj * tau, np.stack((d, u)))
-        if weight:  # zero at both of Strang's stages
-            d = d + weight * problem.apply_A(u)
-        if j < last:
-            d = d + bj * problem.b(u)
-            d = problem.dflow_B(bj * tau, u, d)
-            u = problem.flow_B(bj * tau, u)
-    d = d - 0.5 * problem.b(u)
-    return DefectOutput(u, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
+        d = -0.5 * problem.b(u)
+        for j, (aj, bj) in enumerate(zip(scheme.a, scheme.b)):
+            weight = aj - 0.5 * (j == 0) - 0.5 * (j == last)  # 0 at both of Strang's
+            d, u = problem.flow_A(aj * tau, np.stack((d, u)), weight)
+            if j < last:
+                d, u = problem.dflow_B_and_flow(bj * tau, u, d + bj * problem.b(u))
+        d = d - 0.5 * problem.b(u)
+    return _checked(u, d, "splitting")
 
 
 def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
@@ -168,9 +170,7 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
             u = _stage_action(generator, u)
             d = d + _hermite_action(bj, bcheck, tau, u, 1.0)
     d = d - 0.5 * (problem.A(t0 + tau) @ u)
-    if not np.isfinite(d).all():
-        raise StepFailure("exponential defect is not finite")
-    return DefectOutput(u, d)
+    return _checked(u, d, "exponential")
 
 
 def _gamma_action(bj, bcheck, tau, order, x):

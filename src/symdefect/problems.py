@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 
+@np.errstate(over="ignore")  # cosh(huge) = inf, sech -> 0
 def soliton_value(x, t):
     """Closed-form soliton 2 exp(i(3t/2 - x)) sech(2(t + x)) of the cubic NLS."""
     return 2.0 * np.exp(1j * (1.5 * t - x)) / np.cosh(2.0 * (t + x))
@@ -62,6 +63,9 @@ class CubicNLS:
     * the B-subflow conserves the modulus of every component, so it reduces
       to the phase rotation u_m -> exp(i t |u_m|^2) u_m.
 
+    ``flow_A(t, (d, u), weight)`` also adds weight * A exp(tA) u to the
+    moved d in Fourier space, and ``dflow_B_and_flow`` shares one phase.
+
     `initial` selects the start state: "soliton" samples the exact soliton
     at t = 0 (and enables :meth:`exact_state`), "two-soliton" superposes two
     counter-propagating solitary waves of amplitude 2 (`carriers`, `centers`).
@@ -87,8 +91,11 @@ class CubicNLS:
     def apply_A(self, u):
         return ifft(-1j * self._half_ksq * fft(u))
 
-    def flow_A(self, t, u):
-        return ifft(np.exp(-1j * t * self._half_ksq) * fft(u))
+    def flow_A(self, t, u, weight=0.0):
+        spec = np.exp(-1j * t * self._half_ksq) * fft(u)
+        if weight:
+            spec[0] += (-1j * weight) * self._half_ksq * spec[1]
+        return ifft(spec)
 
     # -- nonlinear part ----------------------------------------------------
 
@@ -99,8 +106,11 @@ class CubicNLS:
         return np.exp(1j * t * _mod2(u)) * u
 
     def dflow_B(self, t, u, v):
+        return self.dflow_B_and_flow(t, u, v)[0]
+
+    def dflow_B_and_flow(self, t, u, v):
         phase = np.exp(1j * t * _mod2(u))
-        return phase * (v + 2j * t * u * _re_dot(u, v))
+        return phase * (v + 2j * t * u * _re_dot(u, v)), phase * u
 
     # -- combined autonomous view -------------------------------------------
 
@@ -199,11 +209,11 @@ class ToySplit:
 
     The linear part A u = lam*u has flow exp(lam*t) u (row-wise on a stack
     by broadcasting), the quadratic part B(u) = mu*u^2 the flow
-    u / (1 - mu*t*u); together they form the semilinear splitting
-    interface (apply_A, flow_A, b, flow_B, dflow_B). The exact solution of
-    the full equation is available through :meth:`exact_solution`. State
-    vectors have length one so the problem plugs into the same machinery as
-    the PDE discretizations.
+    u / (1 - mu*t*u); together they form the semilinear splitting interface
+    (apply_A, flow_A, b, flow_B, dflow_B, dflow_B_and_flow). The exact
+    solution of the full equation is available through
+    :meth:`exact_solution`. State vectors have length one so the problem
+    plugs into the same machinery as the PDE discretizations.
     """
 
     norm_weight = 1.0
@@ -217,8 +227,11 @@ class ToySplit:
     def apply_A(self, u):
         return self.lam * u
 
-    def flow_A(self, t, u):
-        return np.exp(self.lam * t) * u
+    def flow_A(self, t, u, weight=0.0):
+        out = np.exp(self.lam * t) * u
+        if weight:
+            out[0] += weight * self.lam * out[1]
+        return out
 
     # -- quadratic subflow (B part) -------------------------------------------
 
@@ -235,7 +248,11 @@ class ToySplit:
         return u / self._denominator(t, u)
 
     def dflow_B(self, t, u, v):
-        return v / self._denominator(t, u) ** 2
+        return self.dflow_B_and_flow(t, u, v)[0]
+
+    def dflow_B_and_flow(self, t, u, v):
+        den = self._denominator(t, u)
+        return v / den**2, u / den
 
     # -- combined autonomous view ---------------------------------------------
 
@@ -248,6 +265,7 @@ class ToySplit:
     def initial_state(self):
         return np.ones(1, dtype=np.complex128)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a huge t gives NaN, a failed row
     def exact_solution(self, t, u0):
         """Closed-form solution (Bernoulli substitution v = 1/u)."""
         u0 = np.asarray(u0, dtype=np.complex128)

@@ -126,6 +126,42 @@ def strang_symmetrized_defect(problem, tau, u):
     return w, problem.flow_A(half, problem.b(v2) - 0.5 * transported) - 0.5 * problem.b(w)
 
 
+def strang_classical_defect(problem, tau, u):
+    """Closed-form classical defect of Strang splitting with the A-actions
+    as separate calls: with v1 = exp(tau A/2) u, v2 = E_B(tau, v1) and
+    w = exp(tau A/2) v2,
+
+        d = exp(tau A/2) (B(v2) + dE_B(tau, v1) . (A v1) / 2)
+            - A w / 2 - B(w)
+
+    Returns (w, d)."""
+    half = 0.5 * tau
+    v1 = problem.flow_A(half, u)
+    v2 = problem.flow_B(tau, v1)
+    w = problem.flow_A(half, v2)
+    inner = problem.b(v2) + 0.5 * problem.dflow_B(tau, v1, problem.apply_A(v1))
+    return w, problem.flow_A(half, inner) - 0.5 * problem.apply_A(w) - problem.b(w)
+
+
+def splitting_defect_loop(scheme, problem, tau, u):
+    """Symmetrized splitting defect with every stage as separate calls: the
+    A-flow of the (d, u) stack, then the weighted A-action of the moved
+    state, then dE_B and E_B. The reference for the fused stages of
+    ``splitting_defect_semilinear``; returns (u_next, d)."""
+    u = np.asarray(u, dtype=np.complex128)
+    d = -0.5 * problem.b(u)
+    last = scheme.stages - 1
+    for j, (aj, bj) in enumerate(zip(scheme.a, scheme.b)):
+        weight = aj - 0.5 * (j == 0) - 0.5 * (j == last)
+        d, u = problem.flow_A(aj * tau, np.stack((d, u)))
+        if weight:
+            d = d + weight * problem.apply_A(u)
+        if j < last:
+            d = problem.dflow_B(bj * tau, u, d + bj * problem.b(u))
+            u = problem.flow_B(bj * tau, u)
+    return u, d - 0.5 * problem.b(u)
+
+
 class ScalarQuadratic:
     """u' = -u^2, componentwise; exact flow u0 / (1 + t*u0)."""
 
@@ -183,8 +219,8 @@ class BFreeSemilinear:
     def apply_A(self, u):
         return self.host.apply_A(u)
 
-    def flow_A(self, t, u):
-        return self.host.flow_A(t, u)
+    def flow_A(self, t, u, weight=0.0):
+        return self.host.flow_A(t, u, weight)
 
     def b(self, u):
         return np.zeros_like(u)
@@ -194,6 +230,9 @@ class BFreeSemilinear:
 
     def dflow_B(self, t, u, v):
         return np.asarray(v, dtype=np.complex128).copy()
+
+    def dflow_B_and_flow(self, t, u, v):
+        return self.dflow_B(t, u, v), self.flow_B(t, u)
 
 
 class ConstantLinear:

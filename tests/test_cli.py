@@ -251,6 +251,30 @@ class TestMain:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["--problem", "toy-split", "--scheme", "strang", "--tau-max", "1e300",
+             "--levels", "1"],
+            ["--problem", "nls-soliton", "--scheme", "emb43aks", "--tau-max", "1e261",
+             "--levels", "2"],
+        ],
+        ids=["toy-split-strang", "nls-soliton-emb43aks"],
+    )
+    def test_overflowing_splitting_step_gives_failed_rows(self, argv):
+        # the closed-form reference (toy-split) or the defect (emb43aks)
+        # overflows: every row is failed, exit 1, and numpy warns nothing
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "symdefect.cli"]
+        out = subprocess.run(
+            command + ["local", *argv, "--format", "csv"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (out.returncode, out.stderr) == (1, "")
+        rows = parse_csv(out.stdout, ConvergenceRow)
+        assert len(rows) == int(argv[-1]) and all(row.failed for row in rows)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["local", "--scheme", "magnus4", "--tau-max", "1e300", "--levels", "1"],
             ["global", "--scheme", "cf4", "--tau-max", "1e200", "--levels", "1",
              "--t-end", "1e200"],

@@ -11,6 +11,7 @@ from symdefect.defects import (
     splitting_defect_semilinear,
     strang_defect,
 )
+from symdefect.errors import StepFailure
 from symdefect.problems import CubicNLS, RosenZener, ToySplit
 from symdefect.schemes import (
     CF4,
@@ -38,8 +39,28 @@ from oracles import (
     pair_orders,
     random_skew_hermitian,
     random_state,
+    splitting_defect_loop,
+    strang_classical_defect,
     strang_symmetrized_defect,
 )
+
+
+def transform_calls(run):
+    """Number of fft and ifft calls of the problems module during run()."""
+    import symdefect.problems as problems
+
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("fft", "ifft"):
+            transform = getattr(problems, name)
+
+            def counted(v, transform=transform):
+                calls.append(transform.__name__)
+                return transform(v)
+
+            patch.setattr(problems, name, counted)
+        run()
+    return len(calls)
 
 
 def bcheck_matrix(bcheck, n):
@@ -148,6 +169,36 @@ class TestStrangDefect:
         assert np.array_equal(u_direct, u_gen)
         assert np.linalg.norm(d_direct - d_gen) <= 1e-13
 
+    def test_classical_matches_closed_form(self):
+        # the two weighted A-flows against the formula with separate A-actions:
+        # bit for bit on ToySplit, to roundoff of the A-terms on the NLS
+        toy, v = ToySplit(), np.array([0.7 - 0.2j])
+        w, d = strang_defect(toy, 0.03, v, kind="classical")
+        w_direct, d_direct = strang_classical_defect(toy, 0.03, v)
+        assert np.array_equal(w, w_direct) and np.array_equal(d, d_direct)
+        nls = CubicNLS(n=64, initial="two-soliton")
+        u = nls.initial_state()
+        for tau in (1e-3, 0.03, 0.1):
+            w, d = strang_defect(nls, tau, u, kind="classical")
+            w_direct, d_direct = strang_classical_defect(nls, tau, u)
+            assert np.array_equal(w, w_direct)
+            assert np.linalg.norm(d - d_direct) <= 1e-13 * np.linalg.norm(nls.apply_A(u))
+
+    @pytest.mark.parametrize("kind", ["classical", "symmetrized"])
+    def test_fft_budget(self, nls, kind):
+        # two stacked A-flows (one fft and one ifft each) carry the A-actions
+        # in their weights: the 4 calls of the step alone
+        u = nls.initial_state()
+        assert transform_calls(lambda: step_splitting(STRANG, nls, 0.03, u)) == 4
+        assert transform_calls(lambda: strang_defect(nls, 0.03, u, kind=kind)) == 4
+
+    @pytest.mark.parametrize("kind", ["classical", "symmetrized"])
+    def test_non_finite_defect_fails_the_step(self, kind):
+        # exp(-lam * 1e300 / 2) overflows; the suite turns numpy's
+        # RuntimeWarnings into errors, so no warning escapes either
+        with pytest.raises(StepFailure, match="not finite"):
+            strang_defect(ToySplit(), -1e300, np.ones(1, dtype=np.complex128), kind=kind)
+
     def test_classical_deviation_one_order_worse(self, nls):
         u = nls.initial_state()
         taus = [1.563e-2 / 2**i for i in range(4)]
@@ -173,26 +224,44 @@ class TestGenericSplittingDefect:
         u_next, _ = splitting_defect_semilinear(EMB43AKS, nls, 0.03, u)
         assert np.array_equal(u_next, step_splitting(EMB43AKS, nls, 0.03, u))
 
-    def test_emb43_fft_budget(self, nls, monkeypatch):
-        # each A-stage moves defect and state through one stacked A-flow
-        # (one fft and one ifft) plus the A-action (one of each): 4 calls
-        # per stage, 5 stages
-        import symdefect.problems as problems
-
-        calls = []
-
-        def counted(transform):
-            def wrapper(v):
-                calls.append(transform.__name__)
-                return transform(v)
-
-            return wrapper
-
-        monkeypatch.setattr(problems, "fft", counted(problems.fft))
-        monkeypatch.setattr(problems, "ifft", counted(problems.ifft))
+    def test_emb43_fft_budget(self, nls):
+        # each A-stage moves defect and state through one weighted, stacked
+        # A-flow (one fft and one ifft), 5 stages: the 10 calls of the step
         method = make_method("emb43aks")
-        method.step_with_defect(nls, 0.0, 0.03, nls.initial_state())
-        assert 0 < len(calls) <= 20
+        u = nls.initial_state()
+        assert transform_calls(lambda: method.step(nls, 0.0, 0.03, u)) == 10
+        assert transform_calls(lambda: method.step_with_defect(nls, 0.0, 0.03, u)) == 10
+
+    @pytest.mark.parametrize("case", ["nls-two-soliton", "toy-split", "b-free"])
+    def test_fused_stages_match_the_loop(self, case):
+        # weighted A-flow and fused B-stage against separate calls: the state
+        # bit for bit, Strang's defect (both weights 0) bit for bit, and
+        # emb43aks's to roundoff of the A-terms it cancels from
+        if case == "nls-two-soliton":
+            prob = CubicNLS(n=64, initial="two-soliton")
+            u = prob.initial_state()
+        elif case == "toy-split":
+            prob, u = ToySplit(), np.array([0.7 - 0.2j])
+        else:
+            prob = BFreeSemilinear(CubicNLS(n=64))
+            u = random_state(np.random.default_rng(2), 64)
+        scale = np.linalg.norm(prob.apply_A(u))
+        for tau in (1e-3, 0.03, 0.1):
+            for scheme in (STRANG, EMB43AKS):
+                u_next, d = splitting_defect_semilinear(scheme, prob, tau, u)
+                u_loop, d_loop = splitting_defect_loop(scheme, prob, tau, u)
+                assert np.array_equal(u_next, u_loop)
+                assert np.array_equal(u_next, step_splitting(scheme, prob, tau, u))
+                if scheme is STRANG:
+                    assert np.array_equal(d, d_loop)
+                else:
+                    assert np.linalg.norm(d - d_loop) <= 1e-13 * scale
+
+    def test_non_finite_defect_fails_the_step(self):
+        # |u|^2 t overflows in the B-stage derivative; no warning escapes
+        nls = CubicNLS(n=64)
+        with pytest.raises(StepFailure, match="not finite"):
+            splitting_defect_semilinear(EMB43AKS, nls, 1e261, nls.initial_state())
 
     def test_pure_a_part_is_exact(self):
         prob = BFreeSemilinear(CubicNLS(n=64))
