@@ -27,7 +27,7 @@ from .defects import (
     strang_defect,
 )
 from .errors import ConvergenceFailure, StepFailure
-from .problems import CubicNLS, RosenZener, ToySplit, make_problem, soliton_value
+from .problems import CubicNLS, LinearFamily, RosenZener, ToySplit, make_problem, soliton_value
 from .schemes import (
     CF4,
     EMB43AKS,

@@ -132,9 +132,9 @@ _METHODS = {
     "imr": ("f", _implicit_midpoint, None, 2, _BOTH),
     "strang": ("flow_B", _splitting, STRANG, STRANG.order, _BOTH),
     "emb43aks": ("flow_B", _splitting, EMB43AKS, EMB43AKS.order, _SYM),
-    "expmid": ("A", _cfm, EXPMID_AS_CFM, EXPMID_AS_CFM.order, _SYM),
-    "cf4": ("A", _cfm, CF4, CF4.order, _SYM),
-    "magnus4": ("A", _cfm, MAGNUS4, MAGNUS4.order, _SYM),
+    "expmid": ("coefficients", _cfm, EXPMID_AS_CFM, EXPMID_AS_CFM.order, _SYM),
+    "cf4": ("coefficients", _cfm, CF4, CF4.order, _SYM),
+    "magnus4": ("coefficients", _cfm, MAGNUS4, MAGNUS4.order, _SYM),
 }
 METHOD_NAMES = tuple(_METHODS)
 
@@ -363,8 +363,10 @@ def adaptive_integrate(problem, method, config, t0, t_end, u0):
     Each trial step is accepted when the estimator norm is at most tol and
     redone with the proposed smaller step otherwise; a trial step that
     raises :class:`StepFailure` counts as rejected with an infinite
-    estimate. The final step is clamped to land on t_end exactly. Returns
-    the final state and the full trace of trial steps.
+    estimate, and one whose estimate overflows (each trial runs under one
+    ``np.errstate``) as rejected with a non-finite one. The final step is
+    clamped to land on t_end exactly. Returns the final state and the full
+    trace of trial steps.
     """
     u = np.asarray(u0, dtype=np.complex128)
     records = []
@@ -375,11 +377,11 @@ def adaptive_integrate(problem, method, config, t0, t_end, u0):
     while t < t_end - 1e-14 * span:
         tau = min(tau, t_end - t)
         try:
-            u_next, d = method.step_with_defect(problem, t, tau, u)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite err rejects
+                u_next, d = method.step_with_defect(problem, t, tau, u)
+                err = state_norm(problem, estimator_scale(tau, method.order) * d)
         except StepFailure:
             err = math.inf
-        else:
-            err = state_norm(problem, estimator_scale(tau, method.order) * d)
         accepted = err <= config.tol
         records.append(StepRecord(t, tau, err, accepted))
         tau_next = propose_step(tau, err, config.tol, method.order, config)

@@ -151,15 +151,15 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
     quadrature matrices C -/+ = (B_j + tau Bcheck_j)/2 -/+ (tau^2/12)
     [B_j, Bcheck_j]; a stage whose Bcheck_j vanishes uses B_j alone.
 
-    Only matrix-vector products are formed: the stage exponentials act
-    through :func:`~symdefect.linalg.expm_action`, one call per vector, and
-    every commutator with Bcheck_j is applied to the vectors it acts on. A
-    stage vector or defect no longer finite (a huge step) fails the step.
+    The stage exponentials act through :func:`~symdefect.linalg.expm_action`,
+    one call per vector, commutators with Bcheck_j act on vectors, and
+    A(t) u is sum_m c_m(t) G_m u. A stage vector or defect no longer finite
+    (a huge step) fails the step.
     """
     if variant not in ("taylor", "hermite"):
         raise ValueError(f"variant must be 'taylor' or 'hermite', got {variant!r}")
     u = np.asarray(u, dtype=np.complex128)
-    d = -0.5 * (problem.A(t0) @ u)
+    d = -0.5 * (problem.coefficients(t0) @ (problem.generators @ u))  # A(t0) u
     for bj, bcheck in cfm_stages(scheme, problem, t0, tau, derivatives=True):
         generator = tau * bj
         if variant == "taylor":
@@ -169,7 +169,7 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
             d = _stage_action(generator, d + _hermite_action(bj, bcheck, tau, u, -1.0))
             u = _stage_action(generator, u)
             d = d + _hermite_action(bj, bcheck, tau, u, 1.0)
-    d = d - 0.5 * (problem.A(t0 + tau) @ u)
+    d = d - 0.5 * (problem.coefficients(t0 + tau) @ (problem.generators @ u))
     return _checked(u, d, "exponential")
 
 
@@ -183,7 +183,7 @@ def _gamma_action(bj, bcheck, tau, order, x):
     powers = [x]
     for _ in range(order - 1):
         powers.append(bj @ powers[-1])
-    nested = bcheck(np.stack(powers, axis=1))
+    nested = bcheck @ np.stack(powers, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
         gamma, coeff = powers[1] + tau * nested[:, 0], tau
         for m in range(1, order):
@@ -199,6 +199,6 @@ def _hermite_action(bj, bcheck, tau, x, sign):
     bx = bj @ x
     if bcheck is None:
         return 0.5 * bx
-    cx, cbx = bcheck(np.stack((x, bx), axis=1)).T
+    cx, cbx = (bcheck @ np.stack((x, bx), axis=1)).T
     with np.errstate(over="ignore", invalid="ignore"):  # stage vectors are checked
         return 0.5 * (bx + tau * cx) + (sign * tau * tau / 12.0) * (bj @ cx - cbx)

@@ -7,7 +7,8 @@ Three problem families are provided:
   pointwise cubic part with exact subflows.
 * :class:`RosenZener` - a time-dependent two-level quantum model tensored
   with a tridiagonal coupling, i.e. a nonautonomous linear system
-  u' = A(t) u with analytic A and A'.
+  u' = A(t) u whose A(t) is a :class:`LinearFamily` of two fixed generators
+  with analytic coefficients and their derivatives.
 * :class:`ToySplit` - a scalar u' = lam*u + mu*u^2 fixture whose subflows,
   flow derivatives and exact solution are all available in closed form.
 
@@ -18,6 +19,8 @@ its conjugate may both enter.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import StepFailure
@@ -25,6 +28,7 @@ from .linalg import fft, ifft
 
 __all__ = [
     "CubicNLS",
+    "LinearFamily",
     "RosenZener",
     "ToySplit",
     "soliton_value",
@@ -137,7 +141,41 @@ class CubicNLS:
         return soliton_value(self.x, t)
 
 
-class RosenZener:
+class LinearFamily:
+    """Linear problem u' = A(t) u with A(t) = sum_m c_m(t) G_m over fixed
+    generators. A subclass passes the (m, n, n) stack G_m and supplies
+    ``coefficients(t)`` = (c_m(t)) and ``dcoefficients(t)`` = (c_m'(t)).
+    ``basis`` stacks the generators and their brackets [G_p, G_q], p < q,
+    formed once here, so a stage generator is one :meth:`combination`."""
+
+    def __init__(self, generators):
+        m = len(generators)
+        p, q = np.triu_indices(m, 1)
+        self.basis = np.empty((m + len(p), *np.shape(generators[0])), dtype=np.complex128)
+        gens = self.generators = self.basis[:m]
+        gens[...] = generators
+        np.matmul(gens[p], gens[q], out=self.basis[m:])  # the brackets, by broadcast
+        self.basis[m:] -= gens[q] @ gens[p]
+        self._pairs = p, q
+
+    def bracket(self, x, y):
+        """Coefficients over the brackets of [sum_m x_m G_m, sum_m y_m G_m]."""
+        p, q = self._pairs
+        return x[p] * y[q] - x[q] * y[p]
+
+    def combination(self, coef):
+        """sum_b coef_b basis_b over the first len(coef) basis matrices."""
+        flat = self.basis[: len(coef)].reshape(len(coef), -1)
+        return (coef @ flat).reshape(self.basis.shape[1:])
+
+    def A(self, t):
+        return self.combination(self.coefficients(t))
+
+    def dA(self, t):
+        return self.combination(self.dcoefficients(t))
+
+
+class RosenZener(LinearFamily):
     """Rosen-Zener two-level model coupled through a tridiagonal matrix.
 
     The state solves i psi' = H(t) psi with
@@ -147,8 +185,10 @@ class RosenZener:
         f2(t) = V0 sin(omega t) sech(t / T0),
 
     R = tridiag(1, 0, 1) of size k. Exposed as u' = A(t) u with
-    A(t) = -i H(t); dA is the analytic derivative (no differencing, the
-    defect formulas consume A' inside high-order expressions).
+    A(t) = -i H(t), the generators -i sigma1 (x) I_k and -i sigma2 (x) R
+    with the coefficients (f1, f2) and their analytic derivatives (no
+    differencing, the defect formulas consume A' inside high-order
+    expressions).
     """
 
     norm_weight = 1.0
@@ -161,44 +201,21 @@ class RosenZener:
         self.amplitude = float(amplitude)
         sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
         sigma2 = np.array([[0.0, -1j], [1j, 0.0]], dtype=np.complex128)
-        coupling = np.zeros((self.k, self.k), dtype=np.complex128)
-        idx = np.arange(self.k - 1)
-        coupling[idx, idx + 1] = 1.0
-        coupling[idx + 1, idx] = 1.0
-        self._a1 = -1j * np.kron(sigma1, np.eye(self.k, dtype=np.complex128))
-        self._a2 = -1j * np.kron(sigma2, coupling)
+        coupling = np.eye(self.k, k=1) + np.eye(self.k, k=-1)  # R
+        super().__init__([-1j * np.kron(sigma1, np.eye(self.k)), -1j * np.kron(sigma2, coupling)])
 
     @np.errstate(over="ignore")  # here and below: cosh(huge t) = inf, sech -> 0
-    def f1(self, t):
-        return self.amplitude * np.cos(self.omega * t) / np.cosh(t / self.pulse_duration)
+    def coefficients(self, t):
+        wt = self.omega * t
+        sech = self.amplitude / np.cosh(t / self.pulse_duration)
+        return np.array((sech * math.cos(wt), sech * math.sin(wt)))
 
     @np.errstate(over="ignore")
-    def f2(self, t):
-        return self.amplitude * np.sin(self.omega * t) / np.cosh(t / self.pulse_duration)
-
-    @np.errstate(over="ignore")
-    def df1(self, t):
-        sech = 1.0 / np.cosh(t / self.pulse_duration)
-        tanh = np.tanh(t / self.pulse_duration)
-        return self.amplitude * sech * (
-            -self.omega * np.sin(self.omega * t)
-            - np.cos(self.omega * t) * tanh / self.pulse_duration
-        )
-
-    @np.errstate(over="ignore")
-    def df2(self, t):
-        sech = 1.0 / np.cosh(t / self.pulse_duration)
-        tanh = np.tanh(t / self.pulse_duration)
-        return self.amplitude * sech * (
-            self.omega * np.cos(self.omega * t)
-            - np.sin(self.omega * t) * tanh / self.pulse_duration
-        )
-
-    def A(self, t):
-        return self.f1(t) * self._a1 + self.f2(t) * self._a2
-
-    def dA(self, t):
-        return self.df1(t) * self._a1 + self.df2(t) * self._a2
+    def dcoefficients(self, t):
+        wt, x = self.omega * t, t / self.pulse_duration
+        sech, slope = self.amplitude / np.cosh(x), np.tanh(x) / self.pulse_duration
+        cos, sin, w = math.cos(wt), math.sin(wt), self.omega
+        return np.array((sech * (-w * sin - cos * slope), sech * (w * cos - sin * slope)))
 
     def initial_state(self):
         return np.ones(self.dim, dtype=np.complex128)

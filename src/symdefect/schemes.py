@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepFailure
-from .linalg import commutator, expm_action
+from .linalg import expm_action
 
 __all__ = [
     "SplittingScheme",
@@ -177,66 +177,46 @@ def step_exp_midpoint(problem, t0, tau, u):
 
 
 def cfm_stages(scheme, problem, t0, tau, derivatives=False):
-    """Stage generators B_j of a CFM tableau, sampling A once per node and
-    computing the commutator [A_1, A_2] once.
+    """Stage generators B_j = sum_k a[j][k] A_k + g_j tau [A_1, A_2] of a CFM
+    tableau on a :class:`~symdefect.problems.LinearFamily`, each one
+    ``problem.combination`` of the coefficients, sampled once per node, and
+    their brackets; no commutator is formed per step.
 
     With ``derivatives`` the stages are pairs (B_j, Bcheck_j) with
     Bcheck_j = (d/dtau - (1/2) d/dt0) B_j
              = sum_k a[j][k] (c_k - 1/2) A'_k
                + g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
                                  + tau (c_2 - 1/2) [A_1, A'_2]),
-    A' sampled only at nodes c_k != 1/2. Each stage's Bcheck_j is one
-    closure, the action x -> Bcheck_j x on a vector or an (n, k) block with
-    the commutators applied by matrix-vector products; it is None where it
-    vanishes identically (every a[j][k] (c_k - 1/2) and g_j zero).
+    a dense matrix formed the same way, the coefficient derivatives sampled
+    only at nodes c_k != 1/2; Bcheck_j is None where it vanishes
+    identically (every a[j][k] (c_k - 1/2) and g_j zero).
     """
     if not np.isfinite(tau):
         raise ValueError(f"step size must be finite, got {tau!r}")
     times = [t0 + ck * tau for ck in scheme.nodes]
-    samples = [problem.A(t) for t in times]
+    coeffs = [problem.coefficients(t) for t in times]
     shifts = [ck - 0.5 for ck in scheme.nodes]
     g = scheme.commutators or (0.0,) * scheme.stages
-    slopes = [problem.dA(t) if derivatives and sk else None for t, sk in zip(times, shifts)]
-    comm = None
-    if any(g):
-        comm = commutator(samples[0], samples[1])
+    slopes = [problem.dcoefficients(t) if derivatives and sk else None for t, sk in zip(times, shifts)]
+    comm = problem.bracket(coeffs[0], coeffs[1]) if any(g) else None  # [A_1, A_2]
     stages = []
     for row, gj in zip(scheme.weights, g):
-        bj = row[0] * samples[0]
-        for ajk, sample in zip(row[1:], samples[1:]):
-            bj = bj + ajk * sample
-        if gj:
-            bj = bj + (gj * tau) * comm
+        head = sum(ajk * ck for ajk, ck in zip(row, coeffs))
+        bj = problem.combination(np.concatenate((head, gj * tau * comm)) if gj else head)
         if derivatives:
-            terms = [(ajk * sk, da) for ajk, sk, da in zip(row, shifts, slopes) if ajk * sk]
-            bj = (bj, _bcheck_action(terms, gj, tau, comm, samples, shifts, slopes))
+            weights = [ajk * sk for ajk, sk in zip(row, shifts)]
+            check = sum((w * dk for w, dk in zip(weights, slopes) if w), np.zeros_like(head))
+            if gj:
+                (c1, c2), (s1, s2), (d1, d2) = coeffs, shifts, slopes
+                tail = comm
+                if s1:
+                    tail = tail + (tau * s1) * problem.bracket(d1, c2)
+                if s2:
+                    tail = tail + (tau * s2) * problem.bracket(c1, d2)
+                check = np.concatenate((check, gj * tail))
+            bj = (bj, problem.combination(check) if gj or any(weights) else None)
         stages.append(bj)
     return stages
-
-
-def _bcheck_action(terms, gj, tau, comm, samples, shifts, slopes):
-    """The action x -> g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
-    + tau (c_2 - 1/2) [A_1, A'_2]) x + sum_k w_k A'_k x of one stage's
-    Bcheck from its node terms (w_k, A'_k), the commutators with A' applied
-    by matrix-vector products, or None when it vanishes identically."""
-    if not (terms or gj):
-        return None
-
-    def apply(x):
-        y = 0.0
-        if gj:
-            (a1, a2), (s1, s2), (da1, da2) = samples, shifts, slopes
-            y = comm @ x
-            if s1:
-                y = y + (tau * s1) * (da1 @ (a2 @ x) - a2 @ (da1 @ x))
-            if s2:
-                y = y + (tau * s2) * (a1 @ (da2 @ x) - da2 @ (a1 @ x))
-            y = gj * y
-        for weight, slope in terms:
-            y = y + weight * (slope @ x)
-        return y
-
-    return apply
 
 
 def _stage_action(generator, x):

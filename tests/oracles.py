@@ -7,6 +7,9 @@ none of its implementation paths.
 
 import numpy as np
 
+from symdefect.linalg import commutator
+from symdefect.problems import LinearFamily
+
 
 def naive_dft(v):
     """O(n^2) reference DFT, unnormalized forward convention."""
@@ -235,23 +238,74 @@ class BFreeSemilinear:
         return self.dflow_B(t, u, v), self.flow_B(t, u)
 
 
-class ConstantLinear:
-    """u' = A0 u with constant A0, as a nonautonomous-interface problem."""
+class ConstantLinear(LinearFamily):
+    """u' = A0 u with constant A0, as a nonautonomous-interface problem: one
+    generator A0 with coefficient 1."""
 
     norm_weight = 1.0
 
     def __init__(self, a0):
-        self.a0 = np.asarray(a0, dtype=np.complex128)
-        self.dim = self.a0.shape[0]
+        super().__init__(np.asarray(a0, dtype=np.complex128)[None])
+        self.dim = self.generators.shape[1]
 
-    def A(self, t):
-        return self.a0.copy()
+    def coefficients(self, t):
+        return np.ones(1)
 
-    def dA(self, t):
-        return np.zeros_like(self.a0)
+    def dcoefficients(self, t):
+        return np.zeros(1)
 
     def initial_state(self):
         return np.ones(self.dim, dtype=np.complex128)
+
+
+class RandomFamily(LinearFamily):
+    """u' = A(t) u with A(t) = cos(t) G_0 + sin(2t) G_1 + (t^2 - 1/2) G_2 over
+    three random skew-Hermitian generators that do not commute."""
+
+    norm_weight = 1.0
+
+    def __init__(self, rng, n):
+        super().__init__([random_skew_hermitian(rng, n) for _ in range(3)])
+        self.dim = n
+
+    def coefficients(self, t):
+        return np.array((np.cos(t), np.sin(2.0 * t), t * t - 0.5))
+
+    def dcoefficients(self, t):
+        return np.array((-np.sin(t), 2.0 * np.cos(2.0 * t), 2.0 * t))
+
+    def initial_state(self):
+        return np.ones(self.dim, dtype=np.complex128)
+
+
+def cfm_stages_dense(scheme, problem, t0, tau):
+    """The stage pairs (B_j, Bcheck_j) of an exponential tableau from dense
+    samples A_k = A(t0 + c_k tau), A'_k and matrix commutators:
+
+        B_j      = sum_k a_jk A_k + g_j tau [A_1, A_2],
+        Bcheck_j = sum_k a_jk (c_k - 1/2) A'_k
+                   + g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
+                                     + tau (c_2 - 1/2) [A_1, A'_2]),
+
+    a zero Bcheck_j where it vanishes identically."""
+    times = [t0 + c * tau for c in scheme.nodes]
+    a = [problem.A(t) for t in times]
+    da = [problem.dA(t) for t in times]
+    shifts = [c - 0.5 for c in scheme.nodes]
+    stages = []
+    for j, row in enumerate(scheme.weights):
+        b = sum(w * ak for w, ak in zip(row, a))
+        bcheck = sum(w * s * dak for w, s, dak in zip(row, shifts, da))
+        if scheme.commutators:
+            gj, (s1, s2) = scheme.commutators[j], shifts
+            b = b + gj * tau * commutator(a[0], a[1])
+            bcheck = bcheck + gj * (
+                commutator(a[0], a[1])
+                + tau * s1 * commutator(da[0], a[1])
+                + tau * s2 * commutator(a[0], da[1])
+            )
+        stages.append((b, bcheck))
+    return stages
 
 
 def random_skew_hermitian(rng, n, scale=1.0):

@@ -357,6 +357,26 @@ class TestMain:
         assert "Traceback" not in err
         assert f"scheme {argv[4]} needs" in err.splitlines()[-1]
 
+    @pytest.mark.parametrize("scheme", ["expmid", "cf4", "magnus4"])
+    def test_dense_generator_without_coefficients_is_usage_error(
+        self, scheme, monkeypatch, capsys
+    ):
+        # an exponential scheme builds its stages from the generator
+        # interface, so a problem offering only a dense A(t) cannot run it
+        dense = RosenZener(k=2)
+
+        class DenseOnly:
+            norm_weight = 1.0
+            A, dA, initial_state = dense.A, dense.dA, dense.initial_state
+
+        monkeypatch.setattr(cli, "make_problem", lambda name: DenseOnly())
+        with pytest.raises(SystemExit) as excinfo:
+            main(["local", "--problem", "rosen-zener", "--scheme", scheme])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"scheme {scheme} needs 'coefficients'" in err.splitlines()[-1]
+
     @pytest.mark.parametrize(
         "argv",
         [

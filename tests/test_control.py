@@ -1,6 +1,7 @@
 """Control layer: estimator assembly, references, oracle, adaptivity."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ class TestMakeMethod:
         problem = {
             "f": ToySplit(),
             "flow_B": CubicNLS(n=64),
-            "A": RosenZener(k=5),
+            "coefficients": RosenZener(k=5),
         }[method_needs(name)]
         method = make_method(name, defect=defect, variant=variant)
         u0 = problem.initial_state()
@@ -417,6 +418,17 @@ class TestController:
         cfg = AdaptiveConfig(tol=1e-6, tau_init=0.1, tau_min=1e-10, tau_max=0.5)
         with pytest.raises(StepFailure):
             adaptive_integrate(toy, method, cfg, 0.0, 1.0, toy.initial_state())
+
+    def test_overflowing_trial_is_a_rejection(self):
+        # at tau = 1e300 the implicit midpoint step overflows; each trial runs
+        # under one np.errstate, so no RuntimeWarning escapes (an error in
+        # this suite) and the non-finite estimates stall the controller
+        toy = ToySplit()
+        cfg = AdaptiveConfig(tol=1e-6, tau_init=1e300, tau_min=1e299, tau_max=1e300)
+        start = time.perf_counter()
+        with pytest.raises(StepFailure, match="controller stalled"):
+            adaptive_integrate(toy, make_method("imr"), cfg, 0.0, 2e300, toy.initial_state())
+        assert time.perf_counter() - start < 1.0
 
     def test_abort_when_floor_hit(self):
         prob = RosenZener(k=5)

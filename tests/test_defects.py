@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symdefect import linalg, schemes
+from symdefect import linalg
 from symdefect.control import make_method
 from symdefect.defects import (
     cfm_defect,
@@ -33,7 +33,9 @@ from oracles import (
     ConstantLinear,
     LinearScalar,
     ScalarQuadratic,
+    RandomFamily,
     ZeroField,
+    cfm_stages_dense,
     expmid_defect,
     fit_slope,
     pair_orders,
@@ -61,11 +63,6 @@ def transform_calls(run):
             patch.setattr(problems, name, counted)
         run()
     return len(calls)
-
-
-def bcheck_matrix(bcheck, n):
-    """The matrix of a stage's Bcheck action, from its columns."""
-    return bcheck(np.eye(n, dtype=np.complex128))
 
 
 class TestImrDefect:
@@ -345,7 +342,7 @@ class TestCfmDefect:
         prob = ConstantLinear(random_skew_hermitian(rng, 5))
         for scheme in (CF4, MAGNUS4):
             for _, bcheck in cfm_stages(scheme, prob, 0.0, 0.2, derivatives=True):
-                assert np.linalg.norm(bcheck_matrix(bcheck, 5)) == 0.0
+                assert np.linalg.norm(bcheck) == 0.0
 
     def test_bcheck_zero_step_limit(self, zener):
         # at tau = 0 the stage derivative is Y_j A'(t0)
@@ -353,8 +350,7 @@ class TestCfmDefect:
         for row, (_, bcheck) in zip(CF4.weights, stages):
             y = sum(a * (c - 0.5) for a, c in zip(row, CF4.nodes))
             expected = y * zener.dA(0.3)
-            got = bcheck_matrix(bcheck, zener.dim)
-            assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+            assert np.linalg.norm(bcheck - expected) <= 1e-14 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize(
         "scheme", [EXPMID_AS_CFM, CF4, MAGNUS4], ids=["expmid", "cf4", "magnus4"]
@@ -371,8 +367,26 @@ class TestCfmDefect:
             if bcheck is None:
                 assert np.linalg.norm(fd) <= 1e-7 * np.linalg.norm(bj)
             else:
-                bcheck = bcheck_matrix(bcheck, zener.dim)
                 assert np.linalg.norm(fd - bcheck) <= 1e-7 * np.linalg.norm(bcheck)
+
+    @pytest.mark.parametrize(
+        "scheme", [EXPMID_AS_CFM, CF4, MAGNUS4], ids=["expmid", "cf4", "magnus4"]
+    )
+    def test_stages_match_dense_oracle(self, scheme):
+        # coefficient vectors over the generators and their brackets give
+        # the dense B_j and Bcheck_j of A samples, A' samples and commutators
+        prob = RandomFamily(np.random.default_rng(9), 6)
+        for t0, tau in ((0.0, 0.1), (0.3, 0.25), (-1.2, 0.7)):
+            stages = cfm_stages(scheme, prob, t0, tau, derivatives=True)
+            for (bj, bcheck), (b_ref, bcheck_ref) in zip(
+                stages, cfm_stages_dense(scheme, prob, t0, tau)
+            ):
+                assert np.linalg.norm(bj - b_ref) <= 1e-14 * np.linalg.norm(b_ref)
+                if bcheck is None:
+                    assert np.linalg.norm(bcheck_ref) == 0.0
+                else:
+                    scale = np.linalg.norm(bcheck_ref)
+                    assert np.linalg.norm(bcheck - bcheck_ref) <= 1e-14 * scale
 
     @pytest.mark.parametrize("variant", ["taylor", "hermite"])
     def test_constant_generator_zero_defect(self, variant):
@@ -423,10 +437,7 @@ class TestMagnus4Defect:
     def test_bcheck_vanishes_linearly(self, zener):
         taus = [0.1 / 2**i for i in range(4)]
         norms = [
-            np.linalg.norm(
-                bcheck_matrix(cfm_stages(MAGNUS4, zener, 0.0, tau, derivatives=True)[0][1],
-                              zener.dim)
-            )
+            np.linalg.norm(cfm_stages(MAGNUS4, zener, 0.0, tau, derivatives=True)[0][1])
             for tau in taus
         ]
         slope = fit_slope(taus, norms)
@@ -449,20 +460,21 @@ class TestKernelCalls:
     @pytest.mark.parametrize(
         "name, variant, counts",
         [
-            ("expmid", "taylor", (3, 0, 0)),
-            ("expmid", "hermite", (3, 0, 0)),
-            ("cf4", "taylor", (4, 2, 0)),
-            ("cf4", "hermite", (4, 2, 0)),
-            ("magnus4", "taylor", (4, 2, 1)),
-            ("magnus4", "hermite", (4, 2, 1)),
+            ("expmid", "taylor", (3, 0)),
+            ("expmid", "hermite", (3, 0)),
+            ("cf4", "taylor", (4, 2)),
+            ("cf4", "hermite", (4, 2)),
+            ("magnus4", "taylor", (4, 2)),
+            ("magnus4", "hermite", (4, 2)),
         ],
     )
     def test_calls_per_defect(self, monkeypatch, name, variant, counts):
-        # A and A' are sampled once per distinct time, [A1, A2] is the only
-        # matrix commutator, and the exponentials act on vectors: neither
-        # the step nor the defect forms a matrix exponential
+        # the coefficients and their derivatives are sampled once per
+        # distinct time and the stages are products with the generators and
+        # the brackets formed with the problem, so neither the step nor the
+        # defect forms A(t), A'(t), a matrix commutator or an exponential
         prob = RosenZener(k=3)
-        calls = {"A": 0, "dA": 0, "commutator": 0, "expm": 0}
+        calls = dict.fromkeys(("coefficients", "dcoefficients", "A", "dA", "commutator", "expm"), 0)
 
         def counted(key, fn):
             def wrapper(*args):
@@ -471,19 +483,17 @@ class TestKernelCalls:
 
             return wrapper
 
-        monkeypatch.setattr(prob, "A", counted("A", prob.A))
-        monkeypatch.setattr(prob, "dA", counted("dA", prob.dA))
-        wrapped = counted("commutator", linalg.commutator)
-        monkeypatch.setattr(linalg, "commutator", wrapped)
-        monkeypatch.setattr(schemes, "commutator", wrapped)
+        for key in ("coefficients", "dcoefficients", "A", "dA"):
+            monkeypatch.setattr(prob, key, counted(key, getattr(prob, key)))
+        monkeypatch.setattr(linalg, "commutator", counted("commutator", linalg.commutator))
         monkeypatch.setattr(linalg, "expm", counted("expm", linalg.expm))
         method = make_method(name, variant=variant)
         method.step(prob, 0.2, 0.1, prob.initial_state())
         assert calls["expm"] == 0
-        calls.update(A=0, dA=0, commutator=0)
+        calls.update(coefficients=0, dcoefficients=0)
         method.step_with_defect(prob, 0.2, 0.1, prob.initial_state())
-        assert (calls["A"], calls["dA"], calls["commutator"]) == counts
-        assert calls["expm"] == 0
+        assert (calls["coefficients"], calls["dcoefficients"]) == counts
+        assert calls["A"] == calls["dA"] == calls["commutator"] == calls["expm"] == 0
 
 
 class TestDefectConsistency:

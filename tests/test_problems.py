@@ -119,8 +119,9 @@ def zener():
 
 class TestRosenZener:
     def test_envelope_values_at_zero(self, zener):
-        assert zener.f1(0.0) == pytest.approx(1.0)
-        assert zener.f2(0.0) == pytest.approx(0.0)
+        f1, f2 = zener.coefficients(0.0)
+        assert f1 == pytest.approx(1.0)
+        assert f2 == pytest.approx(0.0)
 
     def test_generator_at_zero(self, zener):
         sigma1_block = np.zeros((zener.dim, zener.dim), dtype=np.complex128)

@@ -192,8 +192,11 @@ class TestExponentialSteppers:
     @pytest.mark.parametrize("t0, tau", [(0.0, 0.1), (0.3, 0.25), (-1.2, 0.0625)])
     def test_magnus4_tableau_matches_closed_form(self, t0, tau):
         prob = RosenZener(k=4)
+        # the tableau sums coefficients before the matrices, in another order
+        # than the closed form, so only agreement to roundoff is guaranteed
         (generator,) = cfm_stages(MAGNUS4, prob, t0, tau)
-        assert np.array_equal(generator, magnus4_generator(prob, t0, tau))
+        closed = magnus4_generator(prob, t0, tau)
+        assert np.linalg.norm(generator - closed) <= 1e-15 * np.linalg.norm(closed)
 
     def test_huge_step_returns_quickly(self):
         # far out on the pulse the generator is tiny; at any norm the step's
