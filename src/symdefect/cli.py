@@ -331,7 +331,7 @@ def main(argv=None):
         parser.error(f"invalid adaptive settings: {exc}")
     try:
         _, trace = run_adaptive(problem, method, config, args.t_end)
-    except StepFailure as exc:
+    except (StepFailure, ConvergenceFailure) as exc:  # a stall or the trial budget
         sys.stderr.write(f"adaptive run aborted: {exc}\n")
         return 1
     _emit(trace, args)

@@ -315,6 +315,7 @@ def local_error_integral_oracle(
 
 
 _SAFETY, _RATIO_MIN, _RATIO_MAX = 0.9, 0.25, 4.0
+_MAX_TRIALS = 2**16  # the adaptive-two-soliton pass takes 2,243
 
 
 @dataclass(frozen=True)
@@ -366,7 +367,7 @@ def adaptive_integrate(problem, method, config, t0, t_end, u0):
     estimate, and one whose estimate overflows (each trial runs under one
     ``np.errstate``) as rejected with a non-finite one. The final step is
     clamped to land on t_end exactly. Returns the final state and the full
-    trace of trial steps.
+    trace of trial steps, or raises ConvergenceFailure after ``_MAX_TRIALS``.
     """
     u = np.asarray(u0, dtype=np.complex128)
     records = []
@@ -375,6 +376,8 @@ def adaptive_integrate(problem, method, config, t0, t_end, u0):
     tau = min(config.tau_init, t_end - t0)
     span = abs(t_end - t0)
     while t < t_end - 1e-14 * span:
+        if len(records) == _MAX_TRIALS:
+            raise ConvergenceFailure(f"trial budget of {_MAX_TRIALS} steps used up at t = {t:.6g}")
         tau = min(tau, t_end - t)
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite err rejects

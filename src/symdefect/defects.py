@@ -26,8 +26,7 @@ import numpy as np
 from .errors import StepFailure
 from .schemes import (
     STRANG,
-    _stage_action,
-    cfm_stages,
+    _stage_plans,
     solve_linearized,
     step_implicit_midpoint,
 )
@@ -151,23 +150,22 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
     quadrature matrices C -/+ = (B_j + tau Bcheck_j)/2 -/+ (tau^2/12)
     [B_j, Bcheck_j]; a stage whose Bcheck_j vanishes uses B_j alone.
 
-    The stage exponentials act through :func:`~symdefect.linalg.expm_action`,
-    one call per vector, commutators with Bcheck_j act on vectors, and
-    A(t) u is sum_m c_m(t) G_m u. A stage vector or defect no longer finite
-    (a huge step) fails the step.
+    The stage exponentials act through one :class:`~symdefect.linalg.ExpmPlan`
+    per stage, one apply per vector, commutators with Bcheck_j act on
+    vectors, and A(t) u is sum_m c_m(t) G_m u. A stage vector or defect no
+    longer finite (a huge step) fails the step.
     """
     if variant not in ("taylor", "hermite"):
         raise ValueError(f"variant must be 'taylor' or 'hermite', got {variant!r}")
     u = np.asarray(u, dtype=np.complex128)
     d = -0.5 * (problem.coefficients(t0) @ (problem.generators @ u))  # A(t0) u
-    for bj, bcheck in cfm_stages(scheme, problem, t0, tau, derivatives=True):
-        generator = tau * bj
+    for bj, plan, bcheck in _stage_plans(scheme, problem, t0, tau, derivatives=True):
         if variant == "taylor":
-            u = _stage_action(generator, u)
-            d = _stage_action(generator, d) + _gamma_action(bj, bcheck, tau, scheme.order, u)
+            u = plan.apply(u)
+            d = plan.apply(d) + _gamma_action(bj, bcheck, tau, scheme.order, u)
         else:
-            d = _stage_action(generator, d + _hermite_action(bj, bcheck, tau, u, -1.0))
-            u = _stage_action(generator, u)
+            d = plan.apply(d + _hermite_action(bj, bcheck, tau, u, -1.0))
+            u = plan.apply(u)
             d = d + _hermite_action(bj, bcheck, tau, u, 1.0)
     d = d - 0.5 * (problem.coefficients(t0 + tau) @ (problem.generators @ u))
     return _checked(u, d, "exponential")

@@ -3,8 +3,8 @@
 Vectors are 1-d complex128 numpy arrays, matrices 2-d. All functions are
 pure. ``expm`` forms the matrix exponential (Pade 13, scaling and
 squaring); ``expm_action`` computes its action on a vector or an (n, k)
-block by a scaled truncated Taylor series without forming it, which is
-what the exponential steppers and defects need. The FFTs are numpy's,
+block by a scaled truncated Taylor series without forming it, planned
+once per matrix (``ExpmPlan``) for the steppers and defects. The FFTs are numpy's,
 restricted to power-of-two lengths; they also transform each row of a 2-d
 stack, so a state and a tangent vector can share one call.
 """
@@ -18,6 +18,7 @@ from .errors import StepFailure
 __all__ = [
     "expm",
     "expm_action",
+    "ExpmPlan",
     "commutator",
     "fft",
     "ifft",
@@ -58,14 +59,9 @@ def expm(m):
     accurate to ~1e-13 relative for moderate norms. Raises
     :class:`~symdefect.errors.StepFailure` when the squarings overflow.
     """
-    a = _as_square(m)
-    n = a.shape[0]
-    norm = np.linalg.norm(a, 1) if n else 0.0
-    if not np.isfinite(norm):
-        raise ValueError("matrix has non-finite entries")
-    squarings = 0
-    if norm > _PADE13_THETA:
-        squarings = int(np.ceil(np.log2(norm / _PADE13_THETA)))
+    plan = ExpmPlan(m)  # the 1-norm and the squarings
+    a, n, squarings = plan.matrix, plan.matrix.shape[0], int(plan.squarings)
+    if squarings:
         a = a / (2.0**squarings)
     ident = np.eye(n, dtype=np.complex128)
     a2 = a @ a
@@ -91,7 +87,7 @@ def expm(m):
         for _ in range(squarings):
             f = f @ f
     if not np.isfinite(f).all():
-        raise StepFailure(f"matrix exponential overflowed at 1-norm {norm:.3e}")
+        raise StepFailure(f"matrix exponential overflowed at 1-norm {plan.norm:.3e}")
     return f
 
 
@@ -109,51 +105,61 @@ _TAYLOR_THETA = np.array([
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _max_norm(x):
-    return np.abs(x).max()
+class ExpmPlan:
+    """How :func:`expm_action` applies expm(m), chosen once per matrix m for any
+    number of vectors (Al-Mohy and Higham 2011, Sec. 3): the Taylor degree d and
+    scaling steps s minimize d*s subject to ||m||_1 / s <= theta_d, and each series
+    stops once its last two terms are negligible against the partial sum (max-norm).
+    A huge norm uses expm(m), formed once, when that costs fewer flops than d*s
+    products. ``buf``, a real array of m's shape, takes |m| for the 1-norm."""
+
+    def __init__(self, m, buf=None):
+        a = self.matrix = _as_square(m)
+        norm = self.norm = np.abs(a, out=buf).sum(axis=0).max() if a.size else 0.0
+        if not np.isfinite(norm):
+            raise ValueError("matrix has non-finite entries")
+        with np.errstate(over="ignore", divide="ignore"):  # an inf step count only loses the min
+            steps = np.ceil(norm / _TAYLOR_THETA)
+            self.squarings = max(0.0, np.ceil(np.log2(norm / _PADE13_THETA)))
+        best = np.argmin(_TAYLOR_DEGREES * steps)
+        self.degree, self.steps, self._dense = int(_TAYLOR_DEGREES[best]), steps[best], None
+
+    def apply(self, v):
+        """expm(m) @ v; a non-finite v (an upstream overflow) is a StepFailure."""
+        a, n = self.matrix, self.matrix.shape[0]
+        if not np.isfinite(v).all():
+            raise StepFailure("exponential stage vector is not finite")
+        if self.norm == 0.0 or v.size == 0:
+            return v.copy()
+        if self.degree * self.steps * v.size > (8.0 + self.squarings) * n * n:
+            self._dense = expm(a) if self._dense is None else self._dense
+            return self._dense @ v
+        steps, mags = int(self.steps), np.empty(v.shape)  # mags takes |term| and |f|
+        f, term = v.copy(), v
+        for _ in range(steps):
+            previous = np.abs(term, out=mags).max()
+            for j in range(1, self.degree + 1):
+                term = a @ term
+                term /= steps * j
+                size = np.abs(term, out=mags).max()
+                f += term
+                if previous + size <= _UNIT_ROUNDOFF * np.abs(f, out=mags).max():
+                    break
+                previous = size
+            term = f
+        return f
 
 
 def expm_action(m, v):
-    """expm(m) @ v for a vector or an (n, k) block v, without forming expm(m).
-
-    Scaled truncated Taylor series (Al-Mohy and Higham 2011): the degree d
-    and the number s of scaling steps minimize d*s subject to
-    ||m||_1 / s <= theta_d, and each of the s series stops once its last two
-    terms are negligible against the partial sum (in the max-norm). When
-    d*s matrix-vector products would cost more flops than forming the
-    exponential (a huge norm), it returns ``expm(m) @ v`` instead, so the
-    cost stays bounded (and an overflow there is a ``StepFailure``).
-    """
-    a = _as_square(m)
+    """expm(m) @ v for a vector or an (n, k) block v without forming expm(m): one
+    :class:`ExpmPlan` and one apply (a huge-norm overflow is a ``StepFailure``)."""
+    plan = ExpmPlan(m)
     v = np.asarray(v, dtype=np.complex128)
-    n = a.shape[0]
-    if v.ndim not in (1, 2) or v.shape[0] != n:
-        raise ValueError(f"cannot apply a {a.shape} matrix to shape {v.shape}")
-    norm = np.linalg.norm(a, 1) if n else 0.0
-    if not (np.isfinite(norm) and np.isfinite(v).all()):
+    if v.ndim not in (1, 2) or v.shape[0] != plan.matrix.shape[0]:
+        raise ValueError(f"cannot apply a {plan.matrix.shape} matrix to shape {v.shape}")
+    if not np.isfinite(v).all():
         raise ValueError("non-finite entries")
-    if norm == 0.0 or v.size == 0:
-        return v.copy()
-    with np.errstate(over="ignore"):  # an inf step count only loses the min
-        steps = np.ceil(norm / _TAYLOR_THETA)
-    best = np.argmin(_TAYLOR_DEGREES * steps)
-    degree, steps = int(_TAYLOR_DEGREES[best]), steps[best]
-    squarings = max(0.0, np.ceil(np.log2(norm / _PADE13_THETA)))
-    if degree * steps * v.size > (8.0 + squarings) * n * n:
-        return expm(a) @ v
-    steps = int(steps)
-    f = term = v
-    for _ in range(steps):
-        previous = _max_norm(term)
-        for j in range(1, degree + 1):
-            term = (a @ term) / (steps * j)
-            size = _max_norm(term)
-            f = f + term
-            if previous + size <= _UNIT_ROUNDOFF * _max_norm(f):
-                break
-            previous = size
-        term = f
-    return f
+    return plan.apply(v)
 
 
 def commutator(a, b):

@@ -163,10 +163,11 @@ class LinearFamily:
         p, q = self._pairs
         return x[p] * y[q] - x[q] * y[p]
 
-    def combination(self, coef):
-        """sum_b coef_b basis_b over the first len(coef) basis matrices."""
+    def combination(self, coef, out=None):
+        """sum_b coef_b basis_b over the first len(coef) basis matrices, into out if given."""
         flat = self.basis[: len(coef)].reshape(len(coef), -1)
-        return (coef @ flat).reshape(self.basis.shape[1:])
+        out = None if out is None else out.reshape(-1)
+        return np.matmul(coef, flat, out=out).reshape(self.basis.shape[1:])
 
     def A(self, t):
         return self.combination(self.coefficients(t))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepFailure
-from .linalg import expm_action
+from .linalg import ExpmPlan
 
 __all__ = [
     "SplittingScheme",
@@ -189,8 +189,15 @@ def cfm_stages(scheme, problem, t0, tau, derivatives=False):
                                  + tau (c_2 - 1/2) [A_1, A'_2]),
     a dense matrix formed the same way, the coefficient derivatives sampled
     only at nodes c_k != 1/2; Bcheck_j is None where it vanishes
-    identically (every a[j][k] (c_k - 1/2) and g_j zero).
+    identically (every a[j][k] (c_k - 1/2) and g_j zero). Fresh arrays.
     """
+    stages = [(problem.combination(b), c if c is None else problem.combination(c))
+              for b, c in _stage_coefficients(scheme, problem, t0, tau, derivatives)]
+    return stages if derivatives else [b for b, _ in stages]
+
+
+def _stage_coefficients(scheme, problem, t0, tau, derivatives):
+    # per stage the coefficients of B_j and Bcheck_j (or None) over the basis
     if not np.isfinite(tau):
         raise ValueError(f"step size must be finite, got {tau!r}")
     times = [t0 + ck * tau for ck in scheme.nodes]
@@ -199,12 +206,10 @@ def cfm_stages(scheme, problem, t0, tau, derivatives=False):
     g = scheme.commutators or (0.0,) * scheme.stages
     slopes = [problem.dcoefficients(t) if derivatives and sk else None for t, sk in zip(times, shifts)]
     comm = problem.bracket(coeffs[0], coeffs[1]) if any(g) else None  # [A_1, A_2]
-    stages = []
     for row, gj in zip(scheme.weights, g):
         head = sum(ajk * ck for ajk, ck in zip(row, coeffs))
-        bj = problem.combination(np.concatenate((head, gj * tau * comm)) if gj else head)
-        if derivatives:
-            weights = [ajk * sk for ajk, sk in zip(row, shifts)]
+        check, weights = None, [ajk * sk for ajk, sk in zip(row, shifts)]
+        if derivatives and (gj or any(weights)):
             check = sum((w * dk for w, dk in zip(weights, slopes) if w), np.zeros_like(head))
             if gj:
                 (c1, c2), (s1, s2), (d1, d2) = coeffs, shifts, slopes
@@ -214,17 +219,19 @@ def cfm_stages(scheme, problem, t0, tau, derivatives=False):
                 if s2:
                     tail = tail + (tau * s2) * problem.bracket(c1, d2)
                 check = np.concatenate((check, gj * tail))
-            bj = (bj, problem.combination(check) if gj or any(weights) else None)
-        stages.append(bj)
-    return stages
+        yield (np.concatenate((head, gj * tau * comm)) if gj else head), check
 
 
-def _stage_action(generator, x):
-    """expm_action(generator, x) for a stage vector x; an x that has left
-    the finite range (a huge step overflowing) fails the step."""
-    if not np.isfinite(x).all():
-        raise StepFailure("exponential stage vector is not finite")
-    return expm_action(generator, x)
+def _stage_plans(scheme, problem, t0, tau, derivatives=False):
+    """Per stage (B_j, ExpmPlan of tau B_j, Bcheck_j), each in one of three n x n slots
+    the family keeps, overwritten by the next stage; |tau B_j| passes through the third."""
+    if not hasattr(problem, "_stage_workspace"):  # made by the family's first step
+        problem._stage_workspace = np.empty((3, *problem.generators.shape[1:]), complex)
+    bj_slot, generator_slot, check_slot = problem._stage_workspace
+    for b, c in _stage_coefficients(scheme, problem, t0, tau, derivatives):
+        bj = problem.combination(b, out=bj_slot)
+        plan = ExpmPlan(np.multiply(bj, tau, out=generator_slot), check_slot.real)
+        yield bj, plan, c if c is None else problem.combination(c, out=check_slot)
 
 
 def step_cfm(scheme, problem, t0, tau, u):
@@ -232,8 +239,8 @@ def step_cfm(scheme, problem, t0, tau, u):
     u = np.asarray(u, dtype=np.complex128)
     if tau == 0.0:
         return u.copy()
-    for bj in cfm_stages(scheme, problem, t0, tau):
-        u = _stage_action(tau * bj, u)
+    for _, plan, _ in _stage_plans(scheme, problem, t0, tau):
+        u = plan.apply(u)
     return u
 
 

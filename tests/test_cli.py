@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from symdefect import cli
+from symdefect import cli, control
 from symdefect.cli import (
     ConvergenceRow,
     GlobalRow,
@@ -326,6 +326,27 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err.startswith("local study aborted: reference solve used up")
         assert "budget of 64 steps" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--problem", "nls-two-soliton", "--scheme", "emb43aks",
+             "--tau-max", "1e45", "--t-end", "1e45"],
+            ["--problem", "toy-split", "--scheme", "imr", "--tau-max", "1e113", "--t-end", "2e113"],
+        ],
+        ids=["two-soliton-emb43aks", "toy-split-imr"],
+    )
+    def test_adaptive_trial_budget_aborts(self, argv, capsys, monkeypatch):
+        # neither run reaches t_end in any practical number of trials; a
+        # small budget makes the same failure as the default one, in less time
+        monkeypatch.setattr(control, "_MAX_TRIALS", 64)
+        start = time.perf_counter()
+        assert main(["adaptive", *argv]) == 1
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("adaptive run aborted: trial budget of 64 steps used up")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize(

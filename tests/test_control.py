@@ -430,6 +430,20 @@ class TestController:
             adaptive_integrate(toy, make_method("imr"), cfg, 0.0, 2e300, toy.initial_state())
         assert time.perf_counter() - start < 1.0
 
+    def test_trial_budget_raises_convergence_failure(self, monkeypatch):
+        # a run that needs more trial steps than its budget ends in a typed
+        # error; the same run with a budget of exactly its trials reaches t_end
+        toy = ToySplit()
+        cfg = AdaptiveConfig(tol=1e-8, tau_init=0.1, tau_min=1e-10, tau_max=0.5)
+        u, records = adaptive_integrate(toy, make_method("imr"), cfg, 0.0, 1.0, toy.initial_state())
+        assert len(records) > 3 and records[-1].t + records[-1].tau == 1.0
+        monkeypatch.setattr(control, "_MAX_TRIALS", 3)
+        with pytest.raises(ConvergenceFailure, match="trial budget of 3 steps used up at t = "):
+            adaptive_integrate(toy, make_method("imr"), cfg, 0.0, 1.0, toy.initial_state())
+        monkeypatch.setattr(control, "_MAX_TRIALS", len(records))
+        budgeted, _ = adaptive_integrate(toy, make_method("imr"), cfg, 0.0, 1.0, toy.initial_state())
+        assert np.array_equal(budgeted, u)
+
     def test_abort_when_floor_hit(self):
         prob = RosenZener(k=5)
         method = make_method("expmid")

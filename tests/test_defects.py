@@ -1,5 +1,7 @@
 """Defect evaluators: closed forms, cross-path agreement, deviation orders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -494,6 +496,61 @@ class TestKernelCalls:
         method.step_with_defect(prob, 0.2, 0.1, prob.initial_state())
         assert (calls["coefficients"], calls["dcoefficients"]) == counts
         assert calls["A"] == calls["dA"] == calls["commutator"] == calls["expm"] == 0
+
+
+class TestStageWorkspace:
+    @pytest.mark.parametrize("variant", ["taylor", "hermite"])
+    @pytest.mark.parametrize("name", ["expmid", "cf4", "magnus4"])
+    def test_step_allocates_no_square_matrix(self, name, variant):
+        # after a warm-up step the stage matrices live in the family's
+        # workspace, so neither the step nor the step with its defect
+        # allocates an n x n complex array (160 KB at n = 100)
+        prob = RosenZener()
+        method = make_method(name, variant=variant)
+        u = prob.initial_state()
+        for run in (method.step, method.step_with_defect):
+            run(prob, 0.2, 0.1, u)
+            tracemalloc.start()
+            try:
+                run(prob, 0.2, 0.1, u)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < prob.dim * prob.dim * 16
+
+    def test_interleaved_methods_match_separate_runs(self):
+        # two methods stepping alternately on one family share its workspace;
+        # each gets bitwise the states and defects of a run on its own
+        methods = [make_method("cf4", variant="hermite"), make_method("magnus4", variant="taylor")]
+        tau, steps = 0.1, 4
+
+        def trajectory(method, prob):
+            u = prob.initial_state()
+            for k in range(steps):
+                yield method.step(prob, k * tau, tau, u)
+                u, d = method.step_with_defect(prob, k * tau, tau, u)
+                yield d
+
+        shared = RosenZener()
+        runs = [trajectory(method, shared) for method in methods]
+        interleaved = [[], []]
+        for _ in range(2 * steps):
+            for k, run in enumerate(runs):
+                interleaved[k].append(next(run))
+        for method, got in zip(methods, interleaved):
+            alone = list(trajectory(method, RosenZener()))
+            assert len(alone) == len(got) == 2 * steps
+            assert all(np.array_equal(a, b) for a, b in zip(got, alone))
+
+    def test_public_stages_are_fresh_arrays(self, zener):
+        # cfm_stages returns new matrices, never views of the workspace
+        step_cfm(CF4, zener, 0.3, 0.25, zener.initial_state())
+        stages = cfm_stages(MAGNUS4, zener, 0.3, 0.25, derivatives=True)
+        stages += cfm_stages(CF4, zener, 0.3, 0.25, derivatives=True)
+        matrices = [m for pair in stages for m in pair] + cfm_stages(CF4, zener, 0.3, 0.25)
+        for i, a in enumerate(matrices):
+            assert not np.shares_memory(a, zener._stage_workspace)
+            assert not any(np.shares_memory(a, b) for b in matrices[i + 1 :])
 
 
 class TestDefectConsistency:

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import symdefect
+from symdefect import linalg
 from symdefect.errors import StepFailure
-from symdefect.linalg import commutator, expm, expm_action, fft, ifft
+from symdefect.linalg import ExpmPlan, commutator, expm, expm_action, fft, ifft
 from symdefect.problems import RosenZener
 
 from oracles import expm_skew_hermitian, naive_dft, random_skew_hermitian, random_state
@@ -142,6 +143,59 @@ class TestExpmAction:
         assert time.perf_counter() - start < 1.0
         exact = expm(m) @ v
         assert np.linalg.norm(out - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+class TestExpmPlan:
+    def test_norm_is_the_1_norm_bitwise(self):
+        # |m| through a caller's buffer, also a strided real view of a
+        # complex slot, gives the bits of np.linalg.norm(m, 1)
+        rng = np.random.default_rng(16)
+        slot = np.empty((40, 40), dtype=np.complex128)
+        for n in (1, 7, 40):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            expected = np.linalg.norm(m, 1)
+            assert ExpmPlan(m).norm == expected
+            assert ExpmPlan(m, np.empty((n, n))).norm == expected
+            assert ExpmPlan(m, slot[:n, :n].real).norm == expected
+
+    def test_one_plan_applies_to_several_vectors(self):
+        # each apply is bitwise the one-shot action, and the plan leaves its
+        # matrix and the vectors untouched
+        rng = np.random.default_rng(17)
+        m = random_skew_hermitian(rng, 16, scale=0.5)
+        kept = m.copy()
+        plan = ExpmPlan(m)
+        for _ in range(3):
+            v = random_state(rng, 16)
+            w = v.copy()
+            assert np.array_equal(plan.apply(v), expm_action(m, v))
+            assert np.array_equal(v, w)
+        assert np.array_equal(m, kept)
+
+    def test_dense_fallback_formed_once(self, monkeypatch):
+        # at a huge norm the plan forms expm(m) for its first vector only
+        rng = np.random.default_rng(18)
+        m = random_skew_hermitian(rng, 10)
+        m *= 1e12 / np.linalg.norm(m, 1)
+        calls = []
+        monkeypatch.setattr(linalg, "expm", lambda a: calls.append(a) or expm(a))
+        plan = ExpmPlan(m)
+        for _ in range(2):
+            v = random_state(rng, 10)
+            assert np.array_equal(plan.apply(v), expm(m) @ v)
+        assert len(calls) == 1
+
+    def test_non_finite_vector_fails_the_step(self):
+        # the stage loop's one finiteness check: a non-finite vector is a
+        # StepFailure from apply, but stays a ValueError of expm_action
+        plan = ExpmPlan(0.1 * np.eye(3))
+        v = np.array([1.0, np.nan, 0.0], dtype=np.complex128)
+        with pytest.raises(StepFailure):
+            plan.apply(v)
+        with pytest.raises(ValueError):
+            expm_action(0.1 * np.eye(3), v)
+        with pytest.raises(ValueError):
+            ExpmPlan(np.full((2, 2), np.inf))
 
 
 class TestCommutators:
