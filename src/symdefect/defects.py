@@ -6,11 +6,12 @@ the symmetrized defect averages that residual with its transported
 counterpart, which for self-adjoint schemes buys one extra order of
 asymptotic accuracy of the derived local error estimator.
 
-There is one symmetrized evaluator per scheme family: the general
-splitting algorithm (Strang included), the exponential stage loop (the
-exponential midpoint rule and the 4th-order Magnus step are tableaus of
-it), and the implicit midpoint linear solves. Only the classical defects
-of implicit midpoint and Strang are separate formulas.
+There is one evaluator per scheme family: the general splitting
+algorithm (Strang included), the exponential stage loop (the exponential
+midpoint rule and the 4th-order Magnus step are tableaus of it), and the
+implicit midpoint linear solves. The splitting and implicit midpoint
+evaluators give either kind, classical or symmetrized; the exponential
+one is symmetrized only.
 
 Every evaluator returns a :class:`DefectOutput` whose ``u_next`` is
 bit-for-bit the same state the plain stepper produces; computing the defect
@@ -65,83 +66,68 @@ def imr_defect(problem, tau, u, kind="symmetrized"):
     * symmetrized:  d = z - F(w)/2     where
                     M z = F(m) - F(u)/2 - (tau/4) F'(m) F(u).
 
-    The solves reuse the Newton machinery of the step itself.
+    The solves reuse the Newton machinery of the step itself. A defect no
+    longer finite (a huge step or state) fails the step.
     """
     _check_kind(kind)
     u = np.asarray(u, dtype=np.complex128)
     w = step_implicit_midpoint(problem, tau, u)
     mid = 0.5 * (u + w)
-    f_mid = problem.f(mid)
-    f_w = problem.f(w)
-    if kind == "classical":
-        x = solve_linearized(problem.df, mid, tau, f_mid)
-        d = x - f_w
-    else:
-        f_u = problem.f(u)
-        rhs = f_mid - 0.5 * f_u - 0.25 * tau * problem.df(mid, f_u)
-        z = solve_linearized(problem.df, mid, tau, rhs)
-        d = z - 0.5 * f_w
-    return DefectOutput(w, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
+        f_mid = problem.f(mid)
+        f_w = problem.f(w)
+        if kind == "classical":
+            x = solve_linearized(problem.df, mid, tau, f_mid)
+            d = x - f_w
+        else:
+            f_u = problem.f(u)
+            rhs = f_mid - 0.5 * f_u - 0.25 * tau * problem.df(mid, f_u)
+            z = solve_linearized(problem.df, mid, tau, rhs)
+            d = z - 0.5 * f_w
+    return _checked(w, d, "implicit midpoint")
 
 
 def strang_defect(problem, tau, u, kind="symmetrized"):
-    """Defect of Strang splitting on a semilinear problem u' = A u + B(u).
+    """Defect of Strang splitting on a semilinear problem u' = A u + B(u):
+    the general splitting algorithm on :data:`STRANG`."""
+    return splitting_defect_semilinear(STRANG, problem, tau, u, kind)
 
-    The symmetrized defect is the general splitting algorithm on
-    :data:`STRANG`. With v1 = exp(tau A / 2) u, v2 = E_B(tau, v1),
-    w = exp(tau A / 2) v2, the classical defect is
 
-        d = exp(tau A/2) (B(v2) + dE_B(tau, v1) . (A v1) / 2)
-            - A w / 2 - B(w)
+def splitting_defect_semilinear(scheme, problem, tau, u, kind="symmetrized"):
+    """Defect of a general splitting step on u' = A u + B(u).
 
-    from two weighted A-flows of (2, n) stacks and one fused B-stage; a
+    Both kinds are d_tau S - s dS(u).F(u) - (1 - s) F(S(u)), with the
+    boundary share s = 1/2 (symmetrized) or 0 (classical); they differ only
+    in their boundary terms. The defect is accumulated alongside the
+    solution, starting from -s B(u). Each A-stage moves defect and state as
+    one (2, n) stack through ``problem.flow_A``, whose stage weight w adds
+    w A exp(tA) u to the moved defect; w is a_j, less s at the first stage
+    and 1 - s at the last (so both of symmetrized Strang's weights are 0).
+    Each B-stage adds the weighted B-term and moves both through one
+    ``problem.dflow_B_and_flow`` call. The trailing -(1 - s) B(u_next)
+    closes the defect; the final no-op B-stage (b_J = 0) is skipped. A
     defect no longer finite (a huge step) fails the step.
     """
     _check_kind(kind)
-    if kind == "symmetrized":
-        return splitting_defect_semilinear(STRANG, problem, tau, u)
-    u = np.asarray(u, dtype=np.complex128)
-    half = 0.5 * tau
-    with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
-        a_v1, v1 = problem.flow_A(half, np.stack((np.zeros_like(u), u)), 1.0)
-        transported, v2 = problem.dflow_B_and_flow(tau, v1, a_v1)
-        inner = problem.b(v2) + 0.5 * transported
-        d, w = problem.flow_A(half, np.stack((inner, v2)), -0.5)
-        d = d - problem.b(w)
-    return _checked(w, d, "splitting")
-
-
-def splitting_defect_semilinear(scheme, problem, tau, u):
-    """Symmetrized defect of a general splitting step u' = A u + B(u).
-
-    The defect is accumulated alongside the solution. Each A-stage moves
-    defect and state as one (2, n) stack through ``problem.flow_A``, whose
-    stage weight w adds w A exp(tA) u to the moved defect; w is a_j, with
-    the two boundary stages carrying an extra -1/2, which cancels Strang's
-    weights exactly. Each B-stage adds the weighted B-term and moves both
-    through one ``problem.dflow_B_and_flow`` call. The leading and trailing
-    -B(u)/2 terms close the symmetrization; the final no-op B-stage
-    (b_J = 0) is skipped. A defect no longer finite (a huge step) fails
-    the step.
-    """
     if scheme.b[-1] != 0.0:
         raise ValueError(f"scheme {scheme.name!r} must end with a pure A-stage (b_J = 0)")
+    share = 0.5 if kind == "symmetrized" else 0.0
     u = np.asarray(u, dtype=np.complex128)
     last = scheme.stages - 1
     with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
-        d = -0.5 * problem.b(u)
+        d = -share * problem.b(u)
         for j, (aj, bj) in enumerate(zip(scheme.a, scheme.b)):
-            weight = aj - 0.5 * (j == 0) - 0.5 * (j == last)  # 0 at both of Strang's
+            weight = aj - share * (j == 0) - (1.0 - share) * (j == last)
             d, u = problem.flow_A(aj * tau, np.stack((d, u)), weight)
             if j < last:
                 d, u = problem.dflow_B_and_flow(bj * tau, u, d + bj * problem.b(u))
-        d = d - 0.5 * problem.b(u)
+        d = d - (1.0 - share) * problem.b(u)
     return _checked(u, d, "splitting")
 
 
 def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
     """Symmetrized defect of an exponential step prod_j exp(tau B_j) from
-    its stage pairs (B_j, Bcheck_j), see :func:`~symdefect.schemes.cfm_stages`.
+    its stage pairs (B_j, Bcheck_j), see :func:`~symdefect.schemes._stage_plans`.
 
     Both variants accumulate d = -A(t0) u / 2 through the stage exponentials
     and close with -A(t0 + tau) u / 2. The Taylor variant adds Gamma_j u

@@ -2,9 +2,9 @@
 
 Vectors are 1-d complex128 numpy arrays, matrices 2-d. All functions are
 pure. ``expm`` forms the matrix exponential (Pade 13, scaling and
-squaring); ``expm_action`` computes its action on a vector or an (n, k)
-block by a scaled truncated Taylor series without forming it, planned
-once per matrix (``ExpmPlan``) for the steppers and defects. The FFTs are numpy's,
+squaring); ``ExpmPlan(m).apply(v)`` computes its action on a vector or an
+(n, k) block by a scaled truncated Taylor series without forming it, the
+plan chosen once per matrix for any number of vectors. The FFTs are numpy's,
 restricted to power-of-two lengths; they also transform each row of a 2-d
 stack, so a state and a tangent vector can share one call.
 """
@@ -17,7 +17,6 @@ from .errors import StepFailure
 
 __all__ = [
     "expm",
-    "expm_action",
     "ExpmPlan",
     "commutator",
     "fft",
@@ -45,10 +44,10 @@ _PADE13_B = (
 _PADE13_THETA = 5.371920351148152
 
 
-def _as_square(m, name="matrix"):
+def _as_square(m):
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     return a
 
 
@@ -106,7 +105,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 
 class ExpmPlan:
-    """How :func:`expm_action` applies expm(m), chosen once per matrix m for any
+    """How :meth:`apply` computes expm(m) @ v, chosen once per matrix m for any
     number of vectors (Al-Mohy and Higham 2011, Sec. 3): the Taylor degree d and
     scaling steps s minimize d*s subject to ||m||_1 / s <= theta_d, and each series
     stops once its last two terms are negligible against the partial sum (max-norm).
@@ -150,22 +149,9 @@ class ExpmPlan:
         return f
 
 
-def expm_action(m, v):
-    """expm(m) @ v for a vector or an (n, k) block v without forming expm(m): one
-    :class:`ExpmPlan` and one apply (a huge-norm overflow is a ``StepFailure``)."""
-    plan = ExpmPlan(m)
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim not in (1, 2) or v.shape[0] != plan.matrix.shape[0]:
-        raise ValueError(f"cannot apply a {plan.matrix.shape} matrix to shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("non-finite entries")
-    return plan.apply(v)
-
-
 def commutator(a, b):
     """Matrix commutator a @ b - b @ a."""
-    a = _as_square(a, "first argument")
-    b = _as_square(b, "second argument")
+    a, b = _as_square(a), _as_square(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a

@@ -192,8 +192,6 @@ class RosenZener(LinearFamily):
     expressions).
     """
 
-    norm_weight = 1.0
-
     def __init__(self, k=50, omega=0.5, pulse_duration=1.0, amplitude=1.0):
         self.k = int(k)
         self.dim = 2 * self.k
@@ -233,8 +231,6 @@ class ToySplit:
     :meth:`exact_solution`. State vectors have length one so the problem
     plugs into the same machinery as the PDE discretizations.
     """
-
-    norm_weight = 1.0
 
     def __init__(self, lam=-1.0, mu=0.5):
         self.lam = float(lam)

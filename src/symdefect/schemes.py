@@ -28,7 +28,6 @@ __all__ = [
     "step_exp_midpoint",
     "step_cfm",
     "step_magnus4",
-    "cfm_stages",
 ]
 
 
@@ -176,26 +175,6 @@ def step_exp_midpoint(problem, t0, tau, u):
     return step_cfm(EXPMID_AS_CFM, problem, t0, tau, u)
 
 
-def cfm_stages(scheme, problem, t0, tau, derivatives=False):
-    """Stage generators B_j = sum_k a[j][k] A_k + g_j tau [A_1, A_2] of a CFM
-    tableau on a :class:`~symdefect.problems.LinearFamily`, each one
-    ``problem.combination`` of the coefficients, sampled once per node, and
-    their brackets; no commutator is formed per step.
-
-    With ``derivatives`` the stages are pairs (B_j, Bcheck_j) with
-    Bcheck_j = (d/dtau - (1/2) d/dt0) B_j
-             = sum_k a[j][k] (c_k - 1/2) A'_k
-               + g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
-                                 + tau (c_2 - 1/2) [A_1, A'_2]),
-    a dense matrix formed the same way, the coefficient derivatives sampled
-    only at nodes c_k != 1/2; Bcheck_j is None where it vanishes
-    identically (every a[j][k] (c_k - 1/2) and g_j zero). Fresh arrays.
-    """
-    stages = [(problem.combination(b), c if c is None else problem.combination(c))
-              for b, c in _stage_coefficients(scheme, problem, t0, tau, derivatives)]
-    return stages if derivatives else [b for b, _ in stages]
-
-
 def _stage_coefficients(scheme, problem, t0, tau, derivatives):
     # per stage the coefficients of B_j and Bcheck_j (or None) over the basis
     if not np.isfinite(tau):
@@ -223,8 +202,16 @@ def _stage_coefficients(scheme, problem, t0, tau, derivatives):
 
 
 def _stage_plans(scheme, problem, t0, tau, derivatives=False):
-    """Per stage (B_j, ExpmPlan of tau B_j, Bcheck_j), each in one of three n x n slots
-    the family keeps, overwritten by the next stage; |tau B_j| passes through the third."""
+    """Per stage (B_j, ExpmPlan of tau B_j, Bcheck_j) on a LinearFamily, each
+    matrix one ``problem.combination`` of coefficients sampled once per node:
+    B_j = sum_k a[j][k] A_k + g_j tau [A_1, A_2] and, with ``derivatives``,
+    Bcheck_j = (d/dtau - (1/2) d/dt0) B_j
+             = sum_k a[j][k] (c_k - 1/2) A'_k
+               + g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
+                                 + tau (c_2 - 1/2) [A_1, A'_2]),
+    or None where it vanishes identically (or without ``derivatives``). Each
+    is in one of three n x n slots the family keeps, overwritten by the next
+    stage; |tau B_j| passes through the third."""
     if not hasattr(problem, "_stage_workspace"):  # made by the family's first step
         problem._stage_workspace = np.empty((3, *problem.generators.shape[1:]), complex)
     bj_slot, generator_slot, check_slot = problem._stage_workspace

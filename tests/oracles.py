@@ -9,6 +9,7 @@ import numpy as np
 
 from symdefect.linalg import commutator
 from symdefect.problems import LinearFamily
+from symdefect.schemes import _stage_plans
 
 
 def naive_dft(v):
@@ -276,6 +277,15 @@ class RandomFamily(LinearFamily):
 
     def initial_state(self):
         return np.ones(self.dim, dtype=np.complex128)
+
+
+def stage_matrices(scheme, problem, t0, tau, derivatives=False):
+    """Copies of the stage matrices the exponential steps run on: B_j, or
+    the pairs (B_j, Bcheck_j) with ``derivatives``, as ``_stage_plans``
+    writes them into the family's workspace (not an independent oracle)."""
+    stages = [(bj.copy(), None if bcheck is None else bcheck.copy())
+              for bj, _, bcheck in _stage_plans(scheme, problem, t0, tau, derivatives)]
+    return stages if derivatives else [bj for bj, _ in stages]
 
 
 def cfm_stages_dense(scheme, problem, t0, tau):

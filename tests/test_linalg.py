@@ -12,7 +12,7 @@ import pytest
 import symdefect
 from symdefect import linalg
 from symdefect.errors import StepFailure
-from symdefect.linalg import ExpmPlan, commutator, expm, expm_action, fft, ifft
+from symdefect.linalg import ExpmPlan, commutator, expm, fft, ifft
 from symdefect.problems import RosenZener
 
 from oracles import expm_skew_hermitian, naive_dft, random_skew_hermitian, random_state
@@ -90,7 +90,7 @@ class TestExpmAction:
         for t in (0.0, 0.3, 1.7):
             m = tau * prob.A(t)
             exact = expm_skew_hermitian(m) @ u
-            assert np.linalg.norm(expm_action(m, u) - exact) <= 1e-13 * np.linalg.norm(exact)
+            assert np.linalg.norm(ExpmPlan(m).apply(u) - exact) <= 1e-13 * np.linalg.norm(exact)
 
     def test_matches_expm_on_non_normal_matrix(self):
         rng = np.random.default_rng(13)
@@ -98,38 +98,33 @@ class TestExpmAction:
         m /= np.linalg.norm(m, 1)
         v = random_state(rng, 20)
         exact = expm(m) @ v
-        assert np.linalg.norm(expm_action(m, v) - exact) <= 1e-13 * np.linalg.norm(exact)
+        assert np.linalg.norm(ExpmPlan(m).apply(v) - exact) <= 1e-13 * np.linalg.norm(exact)
 
     def test_block_matches_columns(self):
         rng = np.random.default_rng(14)
         m = random_skew_hermitian(rng, 16, scale=0.5)
         block = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
-        out = expm_action(m, block)
+        out = ExpmPlan(m).apply(block)
         assert out.shape == (16, 3)
         for col in range(3):
-            single = expm_action(m, block[:, col])
+            single = ExpmPlan(m).apply(block[:, col])
             assert np.linalg.norm(out[:, col] - single) <= 1e-14 * np.linalg.norm(single)
 
     def test_zero_matrix_returns_copy(self):
         v = np.arange(4, dtype=np.complex128)
-        out = expm_action(np.zeros((4, 4)), v)
+        out = ExpmPlan(np.zeros((4, 4))).apply(v)
         assert np.array_equal(out, v) and out is not v
         out[0] = 7.0
         assert v[0] == 0.0
 
     def test_invalid_input_raises(self):
-        v = np.ones(3, dtype=np.complex128)
         for bad in (np.nan, np.inf):
             m = np.eye(3, dtype=np.complex128)
             m[1, 2] = bad
             with pytest.raises(ValueError):
-                expm_action(m, v)
+                ExpmPlan(m)
         with pytest.raises(ValueError):
-            expm_action(np.eye(3), np.array([1.0, np.nan, 0.0]))
-        with pytest.raises(ValueError):
-            expm_action(np.zeros((3, 4)), v)
-        with pytest.raises(ValueError):
-            expm_action(np.eye(3), np.ones(4))
+            ExpmPlan(np.zeros((3, 4)))
 
     def test_huge_norm_returns_quickly(self):
         # d*s Taylor products would never finish at this norm; the cost
@@ -139,7 +134,7 @@ class TestExpmAction:
         m *= 1e12 / np.linalg.norm(m, 1)
         v = random_state(rng, 30)
         start = time.perf_counter()
-        out = expm_action(m, v)
+        out = ExpmPlan(m).apply(v)
         assert time.perf_counter() - start < 1.0
         exact = expm(m) @ v
         assert np.linalg.norm(out - exact) <= 1e-12 * np.linalg.norm(exact)
@@ -168,7 +163,7 @@ class TestExpmPlan:
         for _ in range(3):
             v = random_state(rng, 16)
             w = v.copy()
-            assert np.array_equal(plan.apply(v), expm_action(m, v))
+            assert np.array_equal(plan.apply(v), ExpmPlan(m).apply(v))
             assert np.array_equal(v, w)
         assert np.array_equal(m, kept)
 
@@ -187,13 +182,11 @@ class TestExpmPlan:
 
     def test_non_finite_vector_fails_the_step(self):
         # the stage loop's one finiteness check: a non-finite vector is a
-        # StepFailure from apply, but stays a ValueError of expm_action
+        # StepFailure from apply
         plan = ExpmPlan(0.1 * np.eye(3))
         v = np.array([1.0, np.nan, 0.0], dtype=np.complex128)
         with pytest.raises(StepFailure):
             plan.apply(v)
-        with pytest.raises(ValueError):
-            expm_action(0.1 * np.eye(3), v)
         with pytest.raises(ValueError):
             ExpmPlan(np.full((2, 2), np.inf))
 

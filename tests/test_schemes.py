@@ -16,7 +16,6 @@ from symdefect.schemes import (
     MAGNUS4,
     STRANG,
     GAUSS2_NODES,
-    cfm_stages,
     step_cfm,
     step_exp_midpoint,
     step_implicit_midpoint,
@@ -36,6 +35,7 @@ from oracles import (
     random_skew_hermitian,
     random_state,
     rk4,
+    stage_matrices,
 )
 
 
@@ -183,7 +183,7 @@ class TestExponentialSteppers:
     def test_magnus4_generator_small_step_limit(self):
         prob = RosenZener(k=4)
         norms = [
-            np.linalg.norm(cfm_stages(MAGNUS4, prob, 0.0, tau)[0] - prob.A(0.0))
+            np.linalg.norm(stage_matrices(MAGNUS4, prob, 0.0, tau)[0] - prob.A(0.0))
             for tau in (1e-2, 1e-3, 1e-4)
         ]
         # B(tau) - A(t0) = O(tau)
@@ -194,7 +194,7 @@ class TestExponentialSteppers:
         prob = RosenZener(k=4)
         # the tableau sums coefficients before the matrices, in another order
         # than the closed form, so only agreement to roundoff is guaranteed
-        (generator,) = cfm_stages(MAGNUS4, prob, t0, tau)
+        (generator,) = stage_matrices(MAGNUS4, prob, t0, tau)
         closed = magnus4_generator(prob, t0, tau)
         assert np.linalg.norm(generator - closed) <= 1e-15 * np.linalg.norm(closed)
 
@@ -207,7 +207,7 @@ class TestExponentialSteppers:
             start = time.perf_counter()
             out = step_cfm(MAGNUS4, prob, 0.0, 1e6, u)
             assert time.perf_counter() - start < 1.0
-            (generator,) = cfm_stages(MAGNUS4, prob, 0.0, 1e6)
+            (generator,) = stage_matrices(MAGNUS4, prob, 0.0, 1e6)
         exact = expm(1e6 * generator) @ u
         assert np.linalg.norm(out - exact) <= 1e-12 * np.linalg.norm(exact)
 
