@@ -24,7 +24,6 @@ from .defects import (
     cfm_defect,
     imr_defect,
     splitting_defect_semilinear,
-    strang_defect,
 )
 from .errors import ConvergenceFailure, StepFailure
 from .problems import CubicNLS, LinearFamily, RosenZener, ToySplit, make_problem, soliton_value

@@ -321,12 +321,7 @@ def main(argv=None):
         return 1 if any(row.failed for row in rows) else 0
 
     try:
-        config = AdaptiveConfig(
-            tol=args.tol,
-            tau_init=args.tau_max / 8.0,
-            tau_min=1e-10,
-            tau_max=args.tau_max,
-        )
+        config = AdaptiveConfig(tol=args.tol, tau_init=args.tau_max / 8.0, tau_max=args.tau_max)
     except ValueError as exc:
         parser.error(f"invalid adaptive settings: {exc}")
     try:

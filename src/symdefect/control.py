@@ -201,12 +201,16 @@ def reference_solve(
     ones, u0 is the closed-form state at t0), the closed form is sampled;
     ``use_exact=False`` disables this shortcut. Otherwise each interval is
     integrated with the highest-order available corrected scheme, doubling
-    the step count until two consecutive answers differ by less than tol,
-    and the finer answer is returned. Ends are solved longest first; a run
-    keeps the states it passes where a later end's run would take the same
-    steps, and that end reuses them, so each answer is bitwise that of a
-    call for its end alone. All runs of one call take at most ``max_steps``
-    steps in total, or :class:`ConvergenceFailure` is raised.
+    the step count until the Richardson correction (current - previous) /
+    (2**(p+2) - 1) is at most ``tol * max(1, |current|)``; current +
+    correction is returned. The factor assumes the order p + 2 that a
+    symmetrized defect, as in every default method, gives. Ends are solved
+    longest first; a run keeps the states it passes where a later end's run
+    would take the same steps, and that end reuses them, so each answer is
+    bitwise that of a call for its end alone. All runs of one call take at
+    most ``max_steps`` steps in total, or :class:`ConvergenceFailure` is
+    raised, early once the last three ratios of successive differences
+    agree within 25% and the steps left cannot reach ``tol`` at that rate.
     """
     u0 = np.asarray(u0, dtype=np.complex128)
     ends = [t_end] if np.ndim(t_end) == 0 else list(t_end)
@@ -219,16 +223,22 @@ def reference_solve(
             states[k] = u0.copy() if span == 0 else exact(ends[k])
             continue
         method = method or _default_reference_method(problem)
+        factor = 2.0 ** (method.order + 2) - 1.0
         later = [ends[j] - t0 for j in order[position + 1 :]]
-        steps, previous, diff = 1, None, math.inf
-        while not diff < tol:  # a NaN difference keeps doubling
+        steps, previous, diffs, error = 1, None, [], math.inf
+        while not error <= tol:  # a NaN error keeps doubling
             h = span / steps
             current = runs.get((h, steps))
             if current is None:
-                if steps > budget:
+                levels = int(math.log2(budget / steps + 1))  # levels it pays, this one first
+                tail = diffs[-4:]
+                rates = [b / a for a, b in zip(tail, tail[1:])]
+                settled = len(rates) == 3 and max(rates) <= 1.25 * min(rates)
+                if levels == 0 or settled and error * min(*rates, 1.0) ** levels > tol:
                     raise ConvergenceFailure(
-                        f"reference solve used up its budget of {max_steps} steps "
-                        f"before converging to {tol:g} (last difference {diff:.3e})"
+                        f"reference solve used up {max_steps - budget} of its budget of "
+                        f"{max_steps} steps before converging to {tol:g} (last differences: "
+                        f"{', '.join(f'{d:.3e}' for d in tail) or 'none'})"
                     )
                 budget -= steps
                 # key (h, i) is i steps of h from t0, whichever end's run took them
@@ -236,9 +246,11 @@ def reference_solve(
                 current, kept = corrected_run(problem, method, t0, ends[k], u0, steps, record)
                 runs.update(((h, i), state) for i, state in kept.items())
             if previous is not None:
-                diff = state_norm(problem, current - previous)
+                delta = current - previous
+                diffs.append(state_norm(problem, delta))
+                error = diffs[-1] / factor / max(1.0, state_norm(problem, current))
             previous, steps = current, 2 * steps
-        states[k] = previous
+        states[k] = previous + delta / factor
     return states[0] if np.ndim(t_end) == 0 else [states[k] for k in range(len(ends))]
 
 

@@ -136,22 +136,31 @@ def solve_linearized(df, base, tau, rhs):
     return sol[:n] + 1j * sol[n:]
 
 
+def _norm(v):
+    # the 2-norm without overflow (numpy squares the entries); a non-finite v fails
+    peak = float(np.abs(v).max(initial=0.0))
+    if not peak < np.inf:  # NaN too
+        raise StepFailure("implicit midpoint iterate or residual is not finite")
+    return float(np.linalg.norm(v)) if peak < 1e150 else peak * float(np.linalg.norm(v / peak))
+
+
 def step_implicit_midpoint(problem, tau, u, tol=1e-13, max_iter=25):
     """Implicit midpoint rule, second order, self-adjoint: Newton solve of
     w = u + tau F((u + w)/2); returns w.
 
     Initial guess is the explicit Euler predictor u + tau F(u); the exact
-    Jacobian I - (tau/2) F' is applied through problem.df.
+    Jacobian I - (tau/2) F' is applied through problem.df. A state or
+    Newton residual that is not finite fails the step.
     """
     u = np.asarray(u, dtype=np.complex128)
     if tau == 0.0:
         return u.copy()
-    scale = max(1.0, float(np.linalg.norm(u)))
+    scale = max(1.0, _norm(u))
     w = u + tau * problem.f(u)
     for _ in range(max_iter):
         mid = 0.5 * (u + w)
         residual = w - u - tau * problem.f(mid)
-        if np.linalg.norm(residual) <= tol * scale:
+        if _norm(residual) <= tol * scale:
             return w
         w = w - solve_linearized(problem.df, mid, tau, residual)
     raise StepFailure(

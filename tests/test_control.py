@@ -187,8 +187,9 @@ class TestSharedReferenceSolve:
         monkeypatch.setattr(control, "corrected_run", counting)
         return steps
 
-    # the longest end's doubling reaches the finest end's step tau_max/64 on
-    # these ladders, so its runs serve every finer end
+    # the longest end's doubling stops at the finest end's step tau_max/32 on
+    # these ladders; its runs serve every finer end, and the finest one adds
+    # one run of 2 steps
     @pytest.mark.parametrize(
         "problem, tau_max",
         [(RosenZener(k=5), 1.0), (ToySplit(), 4.0)],
@@ -205,7 +206,8 @@ class TestSharedReferenceSolve:
         longest_steps = counted_steps[: counted_steps.index(max(counted_steps)) + 1]
         assert len(shared) == len(ends)
         assert all(np.array_equal(a, b) for a, b in zip(shared, alone))
-        assert shared_steps <= sum(longest_steps) < sum(counted_steps)
+        assert shared_steps < sum(counted_steps)
+        assert shared_steps <= sum(longest_steps) + 2
 
     def test_off_zero_start_and_any_order(self):
         toy = ToySplit()
@@ -226,11 +228,45 @@ class TestSharedReferenceSolve:
         assert np.array_equal(shared[1], u0) and shared[1] is not u0
 
     def test_step_budget_ends_in_convergence_failure(self, counted_steps):
-        # on a span of 1e10 the difference of consecutive levels only halves
+        # on a span of 1e10 the difference of consecutive levels only halves;
+        # two differences are too few to give up on, so the budget ends it
         zener = RosenZener(k=5)
-        with pytest.raises(ConvergenceFailure, match=r"budget of 100 steps.*difference"):
-            reference_solve(zener, 0.0, 1e10, zener.initial_state(), max_steps=100)
-        assert counted_steps == [1, 2, 4, 8, 16, 32]
+        with pytest.raises(ConvergenceFailure, match=r"7 of its budget of 10 steps.*differences"):
+            reference_solve(zener, 0.0, 1e10, zener.initial_state(), max_steps=10)
+        assert counted_steps == [1, 2, 4]
+
+    @pytest.mark.parametrize("max_steps", [100, 2**13])
+    def test_hopeless_solve_gives_up_after_three_ratios(self, counted_steps, max_steps):
+        # ratios 0.5, 0.5, 0.5: no budget of this size reaches 1e-12 at that rate
+        zener = RosenZener(k=5)
+        match = rf"31 of its budget of {max_steps} steps.*differences: (\S+, ){{3}}\S+\)$"
+        with pytest.raises(ConvergenceFailure, match=match):
+            reference_solve(zener, 0.0, 1e10, zener.initial_state(), max_steps=max_steps)
+        assert counted_steps == [1, 2, 4, 8, 16]
+
+    def test_pre_asymptotic_levels_still_converge(self, counted_steps):
+        # on 0 -> 30 the first ratios are far from the asymptotic 2**-6 and
+        # keep falling, so no three of them agree and the solve goes on; the
+        # slowest rate (0.62) or the latest (0.22) alone would give up at 16
+        zener = RosenZener(k=5)
+        u0 = zener.initial_state()
+        magnus4 = make_method("magnus4")
+        levels = [control.corrected_run(zener, magnus4, 0.0, 30.0, u0, 2**i)[0] for i in range(5)]
+        diffs = [np.linalg.norm(b - a) for a, b in zip(levels, levels[1:])]
+        assert all(0.15 < b / a < 0.7 for a, b in zip(diffs, diffs[1:]))
+        counted_steps.clear()
+        ref = reference_solve(zener, 0.0, 30.0, u0)
+        assert counted_steps[-1] > 16 and sum(counted_steps) <= 2**13
+        fine, _ = control.corrected_run(zener, magnus4, 0.0, 30.0, u0, 2 * counted_steps[-1])
+        assert state_norm(zener, ref - fine) <= 1e-11
+
+    def test_rosen_zener_reference_stops_on_richardson_estimate(self, counted_steps):
+        zener = RosenZener(k=5)
+        u0 = zener.initial_state()
+        ref = reference_solve(zener, 0.0, 1.0, u0)
+        assert sum(counted_steps) < 255  # the absolute stop ran 1, 2, ..., 128 steps
+        fine, _ = control.corrected_run(zener, make_method("magnus4"), 0.0, 1.0, u0, 2048)
+        assert state_norm(zener, ref - fine) <= 1e-13
 
 
 class TestIntegralOracle:

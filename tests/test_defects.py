@@ -11,7 +11,6 @@ from symdefect.defects import (
     cfm_defect,
     imr_defect,
     splitting_defect_semilinear,
-    strang_defect,
 )
 from symdefect.errors import StepFailure
 from symdefect.problems import CubicNLS, RosenZener, ToySplit
@@ -160,20 +159,20 @@ class TestStrangDefect:
         rng = np.random.default_rng(0)
         u = random_state(rng, 64)
         for kind in ("classical", "symmetrized"):
-            _, d = strang_defect(prob, 0.2, u, kind=kind)
+            _, d = splitting_defect_semilinear(STRANG, prob, 0.2, u, kind=kind)
             assert np.linalg.norm(d) <= 1e-13
 
     def test_u_next_matches_plain_step(self, nls):
         u = nls.initial_state()
         plain = step_splitting(STRANG, nls, 0.05, u)
         for kind in ("classical", "symmetrized"):
-            u_next, _ = strang_defect(nls, 0.05, u, kind=kind)
+            u_next, _ = splitting_defect_semilinear(STRANG, nls, 0.05, u, kind=kind)
             assert np.array_equal(u_next, plain)
 
     def test_matches_generic_algorithm(self, nls):
         # the general stage loop on STRANG against Strang's closed form
         u = nls.initial_state()
-        u_gen, d_gen = strang_defect(nls, 0.02, u, kind="symmetrized")
+        u_gen, d_gen = splitting_defect_semilinear(STRANG, nls, 0.02, u, kind="symmetrized")
         u_direct, d_direct = strang_symmetrized_defect(nls, 0.02, u)
         assert np.array_equal(u_direct, u_gen)
         assert np.linalg.norm(d_direct - d_gen) <= 1e-13
@@ -189,7 +188,7 @@ class TestStrangDefect:
         nls = CubicNLS(n=64, initial="two-soliton")
         cases += [(nls, nls.initial_state(), tau) for tau in (1e-3, 0.03, 0.1)]
         for prob, u, tau in cases:
-            w, d = strang_defect(prob, tau, u, kind="classical")
+            w, d = splitting_defect_semilinear(STRANG, prob, tau, u, kind="classical")
             w_direct, d_direct = strang_classical_defect(prob, tau, u)
             assert np.array_equal(w, w_direct)
             assert np.linalg.norm(d - d_direct) <= 1e-13 * np.linalg.norm(prob.apply_A(u))
@@ -200,14 +199,16 @@ class TestStrangDefect:
         # in their weights: the 4 calls of the step alone
         u = nls.initial_state()
         assert transform_calls(lambda: step_splitting(STRANG, nls, 0.03, u)) == 4
-        assert transform_calls(lambda: strang_defect(nls, 0.03, u, kind=kind)) == 4
+        defect = lambda: splitting_defect_semilinear(STRANG, nls, 0.03, u, kind=kind)
+        assert transform_calls(defect) == 4
 
     @pytest.mark.parametrize("kind", ["classical", "symmetrized"])
     def test_non_finite_defect_fails_the_step(self, kind):
         # exp(-lam * 1e300 / 2) overflows; the suite turns numpy's
         # RuntimeWarnings into errors, so no warning escapes either
         with pytest.raises(StepFailure, match="not finite"):
-            strang_defect(ToySplit(), -1e300, np.ones(1, dtype=np.complex128), kind=kind)
+            u = np.ones(1, dtype=np.complex128)
+            splitting_defect_semilinear(STRANG, ToySplit(), -1e300, u, kind=kind)
 
     def test_classical_deviation_one_order_worse(self, nls):
         u = nls.initial_state()
@@ -216,7 +217,7 @@ class TestStrangDefect:
         for tau in taus:
             exact = nls.exact_state(tau)
             for kind, store in devs.items():
-                u_next, d = strang_defect(nls, tau, u, kind=kind)
+                u_next, d = splitting_defect_semilinear(STRANG, nls, tau, u, kind=kind)
                 store.append(np.linalg.norm((tau / 3.0) * d - (u_next - exact)))
         assert abs(fit_slope(taus, devs["symmetrized"]) - 5.0) <= 0.15
         assert abs(fit_slope(taus, devs["classical"]) - 4.0) <= 0.15
@@ -606,7 +607,7 @@ class TestCorrectedScheme:
         taus = [1.563e-2 / 2**i for i in range(4)]
         errs = []
         for tau in taus:
-            u_next, d = strang_defect(nls, tau, u)
+            u_next, d = splitting_defect_semilinear(STRANG, nls, tau, u)
             corrected = u_next - (tau / 3.0) * d
             errs.append(np.linalg.norm(corrected - nls.exact_state(tau)))
         assert abs(fit_slope(taus, errs) - 5.0) <= 0.15

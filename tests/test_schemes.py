@@ -84,6 +84,22 @@ class TestImplicitMidpoint:
         w = step_implicit_midpoint(LinearScalar(lam), tau, np.array([1.0 + 0j]))[0]
         assert abs(w - 0.95 / 1.05) < 1e-13
 
+    @pytest.mark.parametrize("size", [1e100, 1e200, 1e300])
+    def test_huge_state_converges(self, size):
+        # |u|^2 overflows above ~1.3e154; the Newton scale must not, or the
+        # first residual test passes and the Euler predictor 2u comes back
+        # (the suite turns a RuntimeWarning into an error)
+        for quiet in (False, True):
+            with np.errstate(all="ignore" if quiet else "warn"):
+                w = step_implicit_midpoint(LinearScalar(1.0), 1.0, np.array([size + 0j]))
+            assert w[0] == pytest.approx(3.0 * size, rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_fails(self, bad):
+        # u = inf would make the first residual inf - inf
+        with pytest.raises(StepFailure, match="iterate or residual is not finite"):
+            step_implicit_midpoint(LinearScalar(1.0), 0.1, np.array([bad + 0j]))
+
     def test_against_bisection(self):
         prob = ScalarQuadratic()
         tau, u = 0.2, 1.0
