@@ -51,6 +51,8 @@ __all__ = [
     "main",
 ]
 
+_MAX_STEPS = 2**13  # per level of a global study, as the reference and trial budgets
+
 
 @dataclass(frozen=True)
 class ConvergenceRow:
@@ -78,9 +80,9 @@ def dyadic_ladder(tau_max, levels):
 
 
 def _step_count(span, tau):
-    steps = round(span / tau)
+    steps = round(span / tau) if span / tau <= _MAX_STEPS else 0
     if steps < 1 or abs(steps * tau - span) > 1e-9 * abs(span):
-        raise ValueError(f"interval length {span} is not a multiple of tau {tau}")
+        raise ValueError(f"interval length {span} is not 1 to {_MAX_STEPS} steps of tau {tau}")
     return steps
 
 
@@ -264,8 +266,9 @@ def _check_settings(args, problem):
         raise ValueError(f"--levels must be at least 1, got {args.levels}")
     if not 0.0 < getattr(args, "t_end", 1.0) < math.inf:
         raise ValueError(f"--t-end must be positive and finite, got {args.t_end}")
-    if args.command == "global":
+    if args.command == "global":  # the first and the finest level
         _step_count(args.t_end, args.tau_max)
+        _step_count(args.t_end, args.tau_max / 2.0 ** min(args.levels - 1, 64))
     if args.out:
         folder = os.path.dirname(os.path.abspath(args.out))
         target = args.out if os.path.exists(args.out) else folder

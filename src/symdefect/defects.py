@@ -97,8 +97,8 @@ def splitting_defect_semilinear(scheme, problem, tau, u, kind="symmetrized"):
     one (2, n) stack through ``problem.flow_A``, whose stage weight w adds
     w A exp(tA) u to the moved defect; w is a_j, less s at the first stage
     and 1 - s at the last (so both of symmetrized Strang's weights are 0).
-    Each B-stage adds the weighted B-term and moves both through one
-    ``problem.dflow_B_and_flow`` call. The trailing -(1 - s) B(u_next)
+    Each B-stage moves both through one ``problem.dflow_B_and_flow`` call,
+    whose weight b_j adds b_j B(u) to the defect. The trailing -(1 - s) B(u_next)
     closes the defect; the final no-op B-stage (b_J = 0) is skipped. A
     defect no longer finite (a huge step) fails the step.
     """
@@ -107,14 +107,14 @@ def splitting_defect_semilinear(scheme, problem, tau, u, kind="symmetrized"):
         raise ValueError(f"scheme {scheme.name!r} must end with a pure A-stage (b_J = 0)")
     share = 0.5 if kind == "symmetrized" else 0.0
     u = np.asarray(u, dtype=np.complex128)
-    last = scheme.stages - 1
+    last = len(scheme.a) - 1
     with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
         d = -share * problem.b(u)
         for j, (aj, bj) in enumerate(zip(scheme.a, scheme.b)):
             weight = aj - share * (j == 0) - (1.0 - share) * (j == last)
             d, u = problem.flow_A(aj * tau, np.stack((d, u)), weight)
             if j < last:
-                d, u = problem.dflow_B_and_flow(bj * tau, u, d + bj * problem.b(u))
+                d, u = problem.dflow_B_and_flow(bj * tau, u, d, bj)
         d = d - (1.0 - share) * problem.b(u)
     return _checked(u, d, "splitting")
 

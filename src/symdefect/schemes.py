@@ -42,10 +42,6 @@ class SplittingScheme:
     b: tuple
     order: int
 
-    @property
-    def stages(self):
-        return len(self.a)
-
 
 @dataclass(frozen=True)
 class CFMScheme:
@@ -59,10 +55,6 @@ class CFMScheme:
     weights: tuple
     order: int
     commutators: tuple = ()
-
-    @property
-    def stages(self):
-        return len(self.weights)
 
 
 _SQRT3 = np.sqrt(3.0)
@@ -175,7 +167,8 @@ def step_splitting(scheme, problem, tau, u):
         return u.copy()
     for aj, bj in zip(scheme.a, scheme.b):
         u = problem.flow_A(aj * tau, u)
-        u = problem.flow_B(bj * tau, u)
+        if bj:  # the trailing b_J = 0 of a self-adjoint tableau is no flow
+            u = problem.flow_B(bj * tau, u)
     return u
 
 
@@ -191,7 +184,7 @@ def _stage_coefficients(scheme, problem, t0, tau, derivatives):
     times = [t0 + ck * tau for ck in scheme.nodes]
     coeffs = [problem.coefficients(t) for t in times]
     shifts = [ck - 0.5 for ck in scheme.nodes]
-    g = scheme.commutators or (0.0,) * scheme.stages
+    g = scheme.commutators or (0.0,) * len(scheme.weights)
     slopes = [problem.dcoefficients(t) if derivatives and sk else None for t, sk in zip(times, shifts)]
     comm = problem.bracket(coeffs[0], coeffs[1]) if any(g) else None  # [A_1, A_2]
     for row, gj in zip(scheme.weights, g):

@@ -154,7 +154,7 @@ def splitting_defect_loop(scheme, problem, tau, u):
     ``splitting_defect_semilinear``; returns (u_next, d)."""
     u = np.asarray(u, dtype=np.complex128)
     d = -0.5 * problem.b(u)
-    last = scheme.stages - 1
+    last = len(scheme.a) - 1
     for j, (aj, bj) in enumerate(zip(scheme.a, scheme.b)):
         weight = aj - 0.5 * (j == 0) - 0.5 * (j == last)
         d, u = problem.flow_A(aj * tau, np.stack((d, u)))
@@ -235,8 +235,8 @@ class BFreeSemilinear:
     def dflow_B(self, t, u, v):
         return np.asarray(v, dtype=np.complex128).copy()
 
-    def dflow_B_and_flow(self, t, u, v):
-        return self.dflow_B(t, u, v), self.flow_B(t, u)
+    def dflow_B_and_flow(self, t, u, v, weight=0.0):
+        return self.dflow_B(t, u, v + weight * self.b(u)), self.flow_B(t, u)
 
 
 class ConstantLinear(LinearFamily):

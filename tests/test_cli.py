@@ -1,13 +1,18 @@
 """Benchmark CLI: study drivers, serialization round-trips, subcommands."""
 
+import contextlib
 import functools
+import io
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from symdefect import cli, control
 from symdefect.cli import (
@@ -21,9 +26,9 @@ from symdefect.cli import (
     run_global_study,
     run_local_study,
 )
-from symdefect.control import Method, StepRecord, make_method
+from symdefect.control import METHOD_NAMES, Method, StepRecord, make_method
 from symdefect.errors import ConvergenceFailure, StepFailure
-from symdefect.problems import RosenZener, ToySplit
+from symdefect.problems import PROBLEM_NAMES, RosenZener, ToySplit
 
 from oracles import ScalarQuadratic
 
@@ -446,3 +451,72 @@ class TestMain:
         assert "Traceback" not in err
         assert "--out" in err.splitlines()[-1] and "not a writable" in err
         assert not out.parent.exists()
+
+
+# The implicit midpoint rule on the 512-point NLS grid assembles a dense
+# 1024 x 1024 Newton system per iteration, about 0.3 s a step: bounded, but
+# no example of a property test can afford it. Every other pairing is drawn.
+_COMMANDS = [
+    (command, problem, scheme)
+    for command in ("local", "global", "adaptive")
+    for problem in PROBLEM_NAMES
+    for scheme in METHOD_NAMES
+    if not (scheme == "imr" and problem.startswith("nls"))
+]
+_LOG_UNIFORM = st.floats(-12.0, 300.0).map(lambda e: 10.0**e)  # 1e-12 to 1e300
+
+
+@contextlib.contextmanager
+def _time_bound(seconds):
+    """Interrupt the block with TimeoutError once it runs past ``seconds``."""
+
+    def interrupt(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@settings(max_examples=100, deadline=None)
+@given(
+    run=st.sampled_from(_COMMANDS),
+    tau_max=_LOG_UNIFORM,
+    levels=st.integers(1, 2),
+    span=st.one_of(st.integers(1, 4), _LOG_UNIFORM),  # steps of tau_max, or t_end itself
+)
+# Draws seldom reach these, each once a raw OverflowError, a run of 1e12
+# steps, or numpy overflow warnings from a reference solve that blew up
+@example(run=("global", "toy-split", "strang"), tau_max=1e-12, levels=1, span=1e300)
+@example(run=("global", "toy-split", "strang"), tau_max=1e-12, levels=1, span=1.0)
+@example(run=("global", "nls-two-soliton", "strang"), tau_max=1e62, levels=1, span=2)
+@example(run=("global", "nls-two-soliton", "strang"), tau_max=1.0, levels=1, span=3)
+def test_main_ends_in_bounded_time_with_a_typed_result(run, tau_max, levels, span):
+    # small reference, global-step and trial budgets keep each example short;
+    # running out of one is the same failure as running out of the default
+    command, problem, scheme = run
+    t_end = tau_max * span if isinstance(span, int) else span
+    argv = [command, "--problem", problem, "--scheme", scheme, "--tau-max", repr(tau_max)]
+    if command != "local":
+        argv += ["--t-end", repr(t_end)]
+    if command != "adaptive":
+        argv += ["--levels", str(levels)]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "reference_solve", functools.partial(cli.reference_solve, max_steps=64))
+        patch.setattr(cli, "_MAX_STEPS", 16)
+        patch.setattr(control, "_MAX_TRIALS", 16)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with _time_bound(2.0):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # a usage error
+                    code = exc.code
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

@@ -230,10 +230,43 @@ class TestGenericSplittingDefect:
             splitting_defect_semilinear(bad, nls, 0.1, nls.initial_state())
 
     def test_skipped_noop_stage_changes_nothing(self, nls):
-        # the stepper applies flow_B(0, .) at the end, the defect path skips it
+        # the trailing b_J = 0 stage is no flow: the stepper and the defect
+        # path both skip it, so the states agree bit for bit
         u = nls.initial_state()
         u_next, _ = splitting_defect_semilinear(EMB43AKS, nls, 0.03, u)
         assert np.array_equal(u_next, step_splitting(EMB43AKS, nls, 0.03, u))
+
+    @pytest.mark.parametrize("scheme, calls", [(STRANG, 1), (EMB43AKS, 4)], ids=["strang", "emb43aks"])
+    def test_flow_b_calls_per_step(self, monkeypatch, scheme, calls):
+        # one B-flow per nonzero b_j; none for the trailing b_J = 0
+        prob = CubicNLS(n=64)
+        seen = []
+        flow_B = prob.flow_B
+
+        def counted(t, u):
+            seen.append(t)
+            return flow_B(t, u)
+
+        monkeypatch.setattr(prob, "flow_B", counted)
+        step_splitting(scheme, prob, 0.03, prob.initial_state())
+        assert len(seen) == calls and 0.0 not in seen
+
+    @pytest.mark.parametrize("case", ["nls", "toy-split"])
+    def test_weighted_b_stage_moves_the_sum(self, case):
+        # dflow_B_and_flow(t, u, v, w) is dflow_B_and_flow(t, u, v + w b(u)), bit for bit
+        if case == "nls":
+            prob, rng = CubicNLS(n=64), np.random.default_rng(3)
+            u, v = random_state(rng, 64), random_state(rng, 64)
+        else:
+            prob, u, v = ToySplit(), np.array([0.7 - 0.2j]), np.array([0.3 + 0.4j])
+        pairs = [
+            (prob.dflow_B_and_flow(t, u, v, w), prob.dflow_B_and_flow(t, u, v + w * prob.b(u)))
+            for t, w in ((0.03, EMB43AKS.b[0]), (0.1, EMB43AKS.b[1]))
+        ]
+        # weight 0 moves v itself: the pair of dflow_B and flow_B
+        pairs.append((prob.dflow_B_and_flow(0.1, u, v), (prob.dflow_B(0.1, u, v), prob.flow_B(0.1, u))))
+        for fused, separate in pairs:
+            assert all(np.array_equal(a, b) for a, b in zip(fused, separate))
 
     def test_emb43_fft_budget(self, nls):
         # each A-stage moves defect and state through one weighted, stacked

@@ -1,10 +1,14 @@
 """Problem definitions: subflows, derivatives, closed forms, invariants."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from symdefect.errors import StepFailure
+from symdefect.linalg import fft, ifft
 from symdefect.problems import CubicNLS, RosenZener, ToySplit, make_problem, soliton_value
+from symdefect.schemes import EMB43AKS
 
 from oracles import fd_slope, fit_slope, rk4
 
@@ -110,6 +114,68 @@ class TestCubicNLS:
         assert np.linalg.norm(u0 - expected) <= 1e-13 * np.linalg.norm(expected)
         with pytest.raises(ValueError):
             prob.exact_state(0.0)
+
+
+def random_stack(seed, n=64):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+
+
+class TestPhaseMemo:
+    """CubicNLS keeps the A-phases exp(-i t k^2 / 2) of its last few sub-steps t."""
+
+    @pytest.mark.parametrize("weight", [0.0, -0.36], ids=["state", "weighted-stack"])
+    def test_hit_is_bitwise_a_miss(self, weight):
+        stack = random_stack(7)
+        u = stack if weight else stack[0]
+        warm = CubicNLS(n=64)
+        first = warm.flow_A(0.27, u, weight)
+        assert 0.27 in warm._phases
+        hit = warm.flow_A(0.27, u, weight)
+        miss = CubicNLS(n=64).flow_A(0.27, u, weight)
+        assert np.array_equal(first, miss) and np.array_equal(hit, miss)
+        if not weight:  # the phase-first product the A-flow made before it kept phases
+            assert np.array_equal(hit, ifft(np.exp(-0.27j * warm._half_ksq) * fft(u)))
+
+    def test_phases_are_read_only_and_never_returned(self):
+        nls = CubicNLS(n=64)
+        stack = random_stack(8)
+        outputs = [nls.flow_A(0.1, stack[0]), nls.flow_A(0.1, stack, 0.5), nls.flow_A(0.1, stack[1])]
+        (phase,) = nls._phases.values()
+        assert not phase.flags.writeable
+        with pytest.raises(ValueError):
+            phase[0] = 0.0
+        assert not any(np.shares_memory(out, phase) for out in outputs)
+
+    def test_memo_stays_bounded(self):
+        nls = CubicNLS(n=64)
+        u = random_stack(9)[0]
+        for i in range(100):
+            nls.flow_A(1e-3 * (i + 1), u)
+            assert len(nls._phases) <= CubicNLS._PHASE_MEMO
+        # a repeated tableau's sub-steps all stay: emb43aks has 3 per step size
+        nls._phases.clear()
+        for tau in (0.1, 0.05):
+            for a in EMB43AKS.a:
+                nls.flow_A(a * tau, u)
+        assert len(nls._phases) == 6
+
+    def test_concurrent_readers_agree_with_a_fresh_problem(self):
+        # more sub-steps than the memo holds, so the threads clear it under
+        # each other; each result is still that of a fresh problem
+        nls, u = CubicNLS(n=64), random_stack(10)[0]
+        times = [0.01 * (i + 1) for i in range(3 * CubicNLS._PHASE_MEMO)]
+        expected = {t: CubicNLS(n=64).flow_A(t, u) for t in times}
+
+        def run(offset):
+            return all(
+                np.array_equal(nls.flow_A(t, u), expected[t])
+                for t in times[offset:] + times[:offset]
+                for _ in range(4)
+            )
+
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            assert all(pool.map(run, (0, 5, 11)))
 
 
 @pytest.fixture(scope="module")

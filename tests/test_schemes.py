@@ -54,7 +54,7 @@ class TestTableaus:
     @pytest.mark.parametrize("scheme", [CF4, EXPMID_AS_CFM])
     def test_cfm_symmetry(self, scheme):
         k = len(scheme.nodes)
-        j = scheme.stages
+        j = len(scheme.weights)
         for idx, c in enumerate(scheme.nodes):
             assert abs((c - 0.5) - (0.5 - scheme.nodes[k - 1 - idx])) <= 1e-15
         for row in range(j):
