@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import control
 from .control import (
     METHOD_NAMES,
     AdaptiveConfig,
@@ -50,8 +51,6 @@ __all__ = [
     "dyadic_ladder",
     "main",
 ]
-
-_MAX_STEPS = 2**13  # per level of a global study, as the reference and trial budgets
 
 
 @dataclass(frozen=True)
@@ -80,9 +79,10 @@ def dyadic_ladder(tau_max, levels):
 
 
 def _step_count(span, tau):
-    steps = round(span / tau) if span / tau <= _MAX_STEPS else 0
+    steps = round(span / tau) if span / tau <= control._MAX_STEPS else 0
     if steps < 1 or abs(steps * tau - span) > 1e-9 * abs(span):
-        raise ValueError(f"interval length {span} is not 1 to {_MAX_STEPS} steps of tau {tau}")
+        raise ValueError(
+            f"interval length {span} is not 1 to {control._MAX_STEPS} steps of tau {tau}")
     return steps
 
 
@@ -262,13 +262,13 @@ def _check_settings(args, problem):
         raise ValueError(f"scheme {args.scheme} needs {needs!r}, which {args.problem} lacks")
     if args.command != "adaptive" and not 0.0 < args.tau_max < math.inf:
         raise ValueError(f"--tau-max must be positive and finite, got {args.tau_max}")
-    if getattr(args, "levels", 1) < 1:
-        raise ValueError(f"--levels must be at least 1, got {args.levels}")
+    if not 1 <= getattr(args, "levels", 1) <= 64:
+        raise ValueError(f"--levels must be 1 to 64, got {args.levels}")
     if not 0.0 < getattr(args, "t_end", 1.0) < math.inf:
         raise ValueError(f"--t-end must be positive and finite, got {args.t_end}")
     if args.command == "global":  # the first and the finest level
         _step_count(args.t_end, args.tau_max)
-        _step_count(args.t_end, args.tau_max / 2.0 ** min(args.levels - 1, 64))
+        _step_count(args.t_end, args.tau_max / 2.0 ** (args.levels - 1))
     if args.out:
         folder = os.path.dirname(os.path.abspath(args.out))
         target = args.out if os.path.exists(args.out) else folder

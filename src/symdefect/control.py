@@ -28,6 +28,11 @@ from .schemes import (
     step_splitting,
 )
 
+# The one work budget (corrected steps of a reference solve, trials of an adaptive run, steps
+# of a global-study level; 3.6x the 2,243 trials of the adaptive-two-soliton pass), and the
+# tolerance of a reference solve's Richardson estimate
+_MAX_STEPS, _REFERENCE_TOL = 2**13, 1e-12
+
 __all__ = [
     "StepOutput",
     "state_norm",
@@ -192,9 +197,7 @@ def _closed_form(problem, t0, u0):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a run that blows up does not converge
-def reference_solve(
-    problem, t0, t_end, u0, tol=1e-12, method=None, use_exact=True, max_steps=2**13
-):
+def reference_solve(problem, t0, t_end, u0, use_exact=True):
     """High-accuracy solution of the problem at t_end, or the list of them
     for a sequence of end times.
 
@@ -203,21 +206,21 @@ def reference_solve(
     ``use_exact=False`` disables this shortcut. Otherwise each interval is
     integrated with the highest-order available corrected scheme, doubling
     the step count until the Richardson correction (current - previous) /
-    (2**(p+2) - 1) is at most ``tol * max(1, |current|)``; current +
-    correction is returned. The factor assumes the order p + 2 that a
+    (2**(p+2) - 1) is at most ``_REFERENCE_TOL * max(1, |current|)``; current
+    + correction is returned. The factor assumes the order p + 2 that a
     symmetrized defect, as in every default method, gives. Ends are solved
     longest first; a run keeps the states it passes where a later end's run
     would take the same steps, and that end reuses them, so each answer is
     bitwise that of a call for its end alone. All runs of one call take at
-    most ``max_steps`` steps in total, or :class:`ConvergenceFailure` is
-    raised, early once the last three ratios of successive differences
-    agree within 25% and the steps left cannot reach ``tol`` at that rate.
+    most ``_MAX_STEPS`` steps in total, or :class:`ConvergenceFailure` is
+    raised, early once the last three ratios of successive differences agree
+    within 25% and the steps left cannot reach ``_REFERENCE_TOL`` at that rate.
     """
     u0 = np.asarray(u0, dtype=np.complex128)
     ends = [t_end] if np.ndim(t_end) == 0 else list(t_end)
-    exact = _closed_form(problem, t0, u0) if use_exact and method is None else None
+    exact = _closed_form(problem, t0, u0) if use_exact else None
     order = sorted(range(len(ends)), key=lambda k: -abs(ends[k] - t0))
-    states, runs, budget = {}, {}, max_steps  # runs: (step, steps) -> state
+    states, runs, budget, method = {}, {}, _MAX_STEPS, None  # runs: (step, steps) -> state
     for position, k in enumerate(order):
         span = ends[k] - t0
         if span == 0 or exact is not None:
@@ -227,7 +230,7 @@ def reference_solve(
         factor = 2.0 ** (method.order + 2) - 1.0
         later = [ends[j] - t0 for j in order[position + 1 :]]
         steps, previous, diffs, error = 1, None, [], math.inf
-        while not error <= tol:  # a NaN error keeps doubling
+        while not error <= _REFERENCE_TOL:  # a NaN error keeps doubling
             h = span / steps
             current = runs.get((h, steps))
             if current is None:
@@ -235,11 +238,11 @@ def reference_solve(
                 tail = diffs[-4:]
                 rates = [b / a for a, b in zip(tail, tail[1:])]
                 settled = len(rates) == 3 and max(rates) <= 1.25 * min(rates)
-                if levels == 0 or settled and error * min(*rates, 1.0) ** levels > tol:
+                if levels == 0 or settled and error * min(*rates, 1.0) ** levels > _REFERENCE_TOL:
                     raise ConvergenceFailure(
-                        f"reference solve used up {max_steps - budget} of its budget of "
-                        f"{max_steps} steps before converging to {tol:g} (last differences: "
-                        f"{', '.join(f'{d:.3e}' for d in tail) or 'none'})"
+                        f"reference solve used up {_MAX_STEPS - budget} of its budget of "
+                        f"{_MAX_STEPS} steps before converging to {_REFERENCE_TOL:g} "
+                        f"(last differences: {', '.join(f'{d:.3e}' for d in tail) or 'none'})"
                     )
                 budget -= steps
                 # key (h, i) is i steps of h from t0, whichever end's run took them
@@ -320,7 +323,6 @@ def local_error_integral_oracle(
 
 
 _SAFETY, _RATIO_MIN, _RATIO_MAX = 0.9, 0.25, 4.0
-_MAX_TRIALS = 2**13  # 3.6x the adaptive-two-soliton pass (2,243); a hopeless run ends in seconds
 
 
 @dataclass(frozen=True)
@@ -348,17 +350,17 @@ class StepRecord:
     accepted: bool
 
 
-def propose_step(tau, err, tol, order, config):
-    """Next step size of the classic controller:
-    tau * clamp(0.9 * (tol/err)^(1/(p+1)), 1/4, 4), clamped into
-    [tau_min, tau_max] of ``config``. A non-finite err shrinks by 1/4, so a
-    step that keeps failing ends in the controller's stall check."""
+def propose_step(tau, err, order, config):
+    """Next step size of the classic controller: tau * clamp(0.9 *
+    (tol/err)^(1/(p+1)), 1/4, 4) clamped into [tau_min, tau_max], all three
+    from ``config``. A non-finite err shrinks by 1/4, so a step that keeps
+    failing ends in the controller's stall check."""
     if not math.isfinite(err):
         ratio = _RATIO_MIN
     elif err == 0.0:
         ratio = _RATIO_MAX
     else:
-        ratio = _SAFETY * (tol / err) ** (1.0 / (order + 1))
+        ratio = _SAFETY * (config.tol / err) ** (1.0 / (order + 1))
         ratio = min(max(ratio, _RATIO_MIN), _RATIO_MAX)
     return min(max(tau * ratio, config.tau_min), config.tau_max)
 
@@ -372,7 +374,7 @@ def adaptive_integrate(problem, method, config, t0, t_end, u0):
     estimate, and one whose estimate overflows (each trial runs under one
     ``np.errstate``) as rejected with a non-finite one. The final step is
     clamped to land on t_end exactly. Returns the final state and the full
-    trace of trial steps, or raises ConvergenceFailure after ``_MAX_TRIALS``.
+    trace of trial steps, or raises ConvergenceFailure after ``_MAX_STEPS``.
     """
     u = np.asarray(u0, dtype=np.complex128)
     records = []
@@ -381,8 +383,8 @@ def adaptive_integrate(problem, method, config, t0, t_end, u0):
     tau = min(config.tau_init, t_end - t0)
     span = abs(t_end - t0)
     while t < t_end - 1e-14 * span:
-        if len(records) == _MAX_TRIALS:
-            raise ConvergenceFailure(f"trial budget of {_MAX_TRIALS} steps used up at t = {t:.6g}")
+        if len(records) == _MAX_STEPS:
+            raise ConvergenceFailure(f"trial budget of {_MAX_STEPS} steps used up at t = {t:.6g}")
         tau = min(tau, t_end - t)
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite err rejects
@@ -392,7 +394,7 @@ def adaptive_integrate(problem, method, config, t0, t_end, u0):
             err = math.inf
         accepted = err <= config.tol
         records.append(StepRecord(t, tau, err, accepted))
-        tau_next = propose_step(tau, err, config.tol, method.order, config)
+        tau_next = propose_step(tau, err, method.order, config)
         if accepted:
             u = u_next
             increment = tau - compensation

@@ -104,23 +104,18 @@ MAGNUS4 = CFMScheme("magnus4", GAUSS2_NODES, ((0.5, 0.5),), 4, (-_SQRT3 / 12.0,)
 
 
 def solve_linearized(df, base, tau, rhs):
-    """Solve (I - (tau/2) F'(base)) x = rhs.
+    """Solve (I - (tau/2) F'(base)) x = rhs in realified form.
 
-    F'(base) is probed through the real-linear directional derivative df,
-    so the system is assembled and solved in realified form. Intended for
-    the small dense problems the implicit midpoint rule is applied to.
+    The matrix comes from one call of the real-linear directional derivative
+    df on the (2n, n) stack [I; iI] of unit directions, so df must act
+    row-wise on a stack. Intended for the small dense problems the implicit
+    midpoint rule is applied to.
     """
     rhs = np.asarray(rhs, dtype=np.complex128)
     n = rhs.shape[0]
-    mat = np.empty((2 * n, 2 * n))
-    probe = np.zeros(n, dtype=np.complex128)
-    for j in range(n):
-        for val, col in ((1.0, j), (1j, n + j)):
-            probe[j] = val
-            w = probe - 0.5 * tau * df(base, probe)
-            mat[:n, col] = w.real
-            mat[n:, col] = w.imag
-            probe[j] = 0.0
+    probes = np.concatenate((np.eye(n), 1j * np.eye(n)))
+    columns = probes - 0.5 * tau * df(base, probes)  # row k is column k of the system
+    mat = np.concatenate((columns.real, columns.imag), axis=1).T
     try:
         sol = np.linalg.solve(mat, np.concatenate((rhs.real, rhs.imag)))
     except np.linalg.LinAlgError as exc:
@@ -136,7 +131,10 @@ def _norm(v):
     return float(np.linalg.norm(v)) if peak < 1e150 else peak * float(np.linalg.norm(v / peak))
 
 
-def step_implicit_midpoint(problem, tau, u, tol=1e-13, max_iter=25):
+_NEWTON_TOL, _NEWTON_MAX_ITER = 1e-13, 25
+
+
+def step_implicit_midpoint(problem, tau, u):
     """Implicit midpoint rule, second order, self-adjoint: Newton solve of
     w = u + tau F((u + w)/2); returns w.
 
@@ -149,15 +147,13 @@ def step_implicit_midpoint(problem, tau, u, tol=1e-13, max_iter=25):
         return u.copy()
     scale = max(1.0, _norm(u))
     w = u + tau * problem.f(u)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         mid = 0.5 * (u + w)
         residual = w - u - tau * problem.f(mid)
-        if _norm(residual) <= tol * scale:
+        if _norm(residual) <= _NEWTON_TOL * scale:
             return w
         w = w - solve_linearized(problem.df, mid, tau, residual)
-    raise StepFailure(
-        f"implicit midpoint Newton iteration stalled after {max_iter} steps"
-    )
+    raise StepFailure(f"implicit midpoint Newton iteration stalled after {_NEWTON_MAX_ITER} steps")
 
 
 def step_splitting(scheme, problem, tau, u):

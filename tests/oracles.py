@@ -166,6 +166,25 @@ def splitting_defect_loop(scheme, problem, tau, u):
     return u, d - 0.5 * problem.b(u)
 
 
+def solve_linearized_loop(df, base, tau, rhs):
+    """Solve (I - (tau/2) F'(base)) x = rhs with the realified matrix built
+    one ``df`` probe per column, 2n calls on single vectors. The reference
+    for the one-call assembly of ``schemes.solve_linearized``."""
+    rhs = np.asarray(rhs, dtype=np.complex128)
+    n = rhs.shape[0]
+    mat = np.empty((2 * n, 2 * n))
+    probe = np.zeros(n, dtype=np.complex128)
+    for j in range(n):
+        for val, col in ((1.0, j), (1j, n + j)):
+            probe[j] = val
+            w = probe - 0.5 * tau * df(base, probe)
+            mat[:n, col] = w.real
+            mat[n:, col] = w.imag
+            probe[j] = 0.0
+    sol = np.linalg.solve(mat, np.concatenate((rhs.real, rhs.imag)))
+    return sol[:n] + 1j * sol[n:]
+
+
 class ScalarQuadratic:
     """u' = -u^2, componentwise; exact flow u0 / (1 + t*u0)."""
 

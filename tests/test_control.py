@@ -150,24 +150,22 @@ class TestReferenceSolve:
     def test_numerical_path_matches_closed_form(self):
         toy = ToySplit()
         u0 = np.array([0.8 + 0j])
-        num = reference_solve(toy, 0.0, 0.3, u0, tol=1e-12, use_exact=False)
+        num = reference_solve(toy, 0.0, 0.3, u0, use_exact=False)
         assert np.linalg.norm(num - toy.exact_solution(0.3, u0)) <= 1e-11
 
     def test_cross_method_agreement(self):
-        # two independent corrected schemes must land on the same solution
+        # the default reference (magnus4) and a fine corrected run of an
+        # independent scheme must land on the same solution (5.6e-14 apart)
         prob = RosenZener()
         u0 = prob.initial_state()
-        tol = 1e-12
-        via_magnus = reference_solve(
-            prob, 0.0, 1.0, u0, tol=tol, method=make_method("magnus4")
-        )
-        via_cf4 = reference_solve(prob, 0.0, 1.0, u0, tol=tol, method=make_method("cf4"))
-        assert np.linalg.norm(via_magnus - via_cf4) <= 10.0 * tol
+        reference = reference_solve(prob, 0.0, 1.0, u0)
+        via_cf4, _ = control.corrected_run(prob, make_method("cf4"), 0.0, 1.0, u0, 256)
+        assert np.linalg.norm(reference - via_cf4) <= 1e-11
 
     def test_scalar_quadratic_against_rk4(self):
         prob = ScalarQuadratic()
         u0 = np.array([1.0 + 0j])
-        out = reference_solve(prob, 0.0, 0.4, u0, tol=1e-13, use_exact=False)
+        out = reference_solve(prob, 0.0, 0.4, u0, use_exact=False)
         oracle = rk4(prob.f, u0, 0.4, 50_000)
         assert abs(out[0] - oracle[0]) <= 1e-11
 
@@ -227,21 +225,23 @@ class TestSharedReferenceSolve:
         assert np.array_equal(shared[0], toy.exact_solution(0.3, u0))
         assert np.array_equal(shared[1], u0) and shared[1] is not u0
 
-    def test_step_budget_ends_in_convergence_failure(self, counted_steps):
+    def test_step_budget_ends_in_convergence_failure(self, counted_steps, monkeypatch):
         # on a span of 1e10 the difference of consecutive levels only halves;
         # two differences are too few to give up on, so the budget ends it
         zener = RosenZener(k=5)
+        monkeypatch.setattr(control, "_MAX_STEPS", 10)
         with pytest.raises(ConvergenceFailure, match=r"7 of its budget of 10 steps.*differences"):
-            reference_solve(zener, 0.0, 1e10, zener.initial_state(), max_steps=10)
+            reference_solve(zener, 0.0, 1e10, zener.initial_state())
         assert counted_steps == [1, 2, 4]
 
     @pytest.mark.parametrize("max_steps", [100, 2**13])
-    def test_hopeless_solve_gives_up_after_three_ratios(self, counted_steps, max_steps):
+    def test_hopeless_solve_gives_up_after_three_ratios(self, counted_steps, monkeypatch, max_steps):
         # ratios 0.5, 0.5, 0.5: no budget of this size reaches 1e-12 at that rate
         zener = RosenZener(k=5)
+        monkeypatch.setattr(control, "_MAX_STEPS", max_steps)
         match = rf"31 of its budget of {max_steps} steps.*differences: (\S+, ){{3}}\S+\)$"
         with pytest.raises(ConvergenceFailure, match=match):
-            reference_solve(zener, 0.0, 1e10, zener.initial_state(), max_steps=max_steps)
+            reference_solve(zener, 0.0, 1e10, zener.initial_state())
         assert counted_steps == [1, 2, 4, 8, 16]
 
     def test_pre_asymptotic_levels_still_converge(self, counted_steps):
@@ -349,18 +349,21 @@ class TestController:
         cfg = AdaptiveConfig(tol=1e-8, tau_init=0.1, tau_min=1e-9, tau_max=10.0)
         tau = 0.1
         # err == tol: ratio = the safety factor 0.9
-        assert propose_step(tau, 1e-8, 1e-8, 2, cfg) == pytest.approx(0.9 * tau)
+        assert propose_step(tau, 1e-8, 2, cfg) == pytest.approx(0.9 * tau)
         # zero error: growth capped at the ratio 4
-        assert propose_step(tau, 0.0, 1e-8, 2, cfg) == pytest.approx(0.4)
+        assert propose_step(tau, 0.0, 2, cfg) == pytest.approx(0.4)
         # huge error: shrink capped at the ratio 1/4
-        assert propose_step(tau, 1.0, 1e-8, 2, cfg) == pytest.approx(0.025)
+        assert propose_step(tau, 1.0, 2, cfg) == pytest.approx(0.025)
 
     def test_propose_step_monotone_in_tolerance(self):
-        cfg = AdaptiveConfig(tol=1e-8, tau_init=0.1, tau_min=1e-12, tau_max=10.0)
+        tight_cfg, loose_cfg = (
+            AdaptiveConfig(tol=tol, tau_init=0.1, tau_min=1e-12, tau_max=10.0)
+            for tol in (1e-10, 1e-8)
+        )
         for err in (1e-12, 1e-9, 1e-7, 1e-3):
             for order in (2, 4):
-                tight = propose_step(0.05, err, 1e-10, order, cfg)
-                loose = propose_step(0.05, err, 1e-8, order, cfg)
+                tight = propose_step(0.05, err, order, tight_cfg)
+                loose = propose_step(0.05, err, order, loose_cfg)
                 assert tight <= loose
 
     def test_exact_scheme_grows_to_tau_max(self):
@@ -473,10 +476,10 @@ class TestController:
         cfg = AdaptiveConfig(tol=1e-8, tau_init=0.1, tau_min=1e-10, tau_max=0.5)
         u, records = adaptive_integrate(toy, make_method("imr"), cfg, 0.0, 1.0, toy.initial_state())
         assert len(records) > 3 and records[-1].t + records[-1].tau == 1.0
-        monkeypatch.setattr(control, "_MAX_TRIALS", 3)
+        monkeypatch.setattr(control, "_MAX_STEPS", 3)
         with pytest.raises(ConvergenceFailure, match="trial budget of 3 steps used up at t = "):
             adaptive_integrate(toy, make_method("imr"), cfg, 0.0, 1.0, toy.initial_state())
-        monkeypatch.setattr(control, "_MAX_TRIALS", len(records))
+        monkeypatch.setattr(control, "_MAX_STEPS", len(records))
         budgeted, _ = adaptive_integrate(toy, make_method("imr"), cfg, 0.0, 1.0, toy.initial_state())
         assert np.array_equal(budgeted, u)
 

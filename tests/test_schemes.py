@@ -5,10 +5,11 @@ import time
 import numpy as np
 import pytest
 
+from symdefect import schemes
 from symdefect.defects import cfm_defect
 from symdefect.errors import StepFailure
 from symdefect.linalg import expm
-from symdefect.problems import CubicNLS, RosenZener
+from symdefect.problems import CubicNLS, RosenZener, ToySplit
 from symdefect.schemes import (
     CF4,
     EMB43AKS,
@@ -16,6 +17,7 @@ from symdefect.schemes import (
     MAGNUS4,
     STRANG,
     GAUSS2_NODES,
+    solve_linearized,
     step_cfm,
     step_exp_midpoint,
     step_implicit_midpoint,
@@ -35,6 +37,7 @@ from oracles import (
     random_skew_hermitian,
     random_state,
     rk4,
+    solve_linearized_loop,
     stage_matrices,
 )
 
@@ -127,11 +130,27 @@ class TestImplicitMidpoint:
             errors.append(abs(w[0] - exact[0]))
         assert abs(fit_slope(taus, errors) - 3.0) <= 0.1
 
-    def test_newton_failure_raises(self):
-        with pytest.raises(StepFailure):
-            step_implicit_midpoint(
-                ScalarQuadratic(), 0.5, np.array([1.0 + 0j]), max_iter=1
-            )
+    @pytest.mark.parametrize("problem", [CubicNLS(n=16), ToySplit()], ids=["nls", "toy-split"])
+    def test_one_df_call_solves_as_the_probe_loop(self, problem):
+        # the (2n, n) stack of unit directions gives bitwise the system of
+        # 2n single-vector probes, from one df call per solve
+        rng = np.random.default_rng(7)
+        n = problem.initial_state().shape[0]
+        base, rhs = random_state(rng, n), random_state(rng, n)
+        shapes = []
+
+        def counted_df(u, v):
+            shapes.append(v.shape)
+            return problem.df(u, v)
+
+        x = solve_linearized(counted_df, base, 0.3, rhs)
+        assert shapes == [(2 * n, n)]
+        assert np.array_equal(x, solve_linearized_loop(problem.df, base, 0.3, rhs))
+
+    def test_newton_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(schemes, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(StepFailure, match="stalled after 1 steps"):
+            step_implicit_midpoint(ScalarQuadratic(), 0.5, np.array([1.0 + 0j]))
 
 
 class TestSplitting:
