@@ -46,7 +46,6 @@ __all__ = [
     "run_global_study",
     "run_adaptive",
     "rows_to_csv",
-    "parse_csv",
     "rows_to_table",
     "dyadic_ladder",
     "main",
@@ -181,23 +180,6 @@ def rows_to_csv(rows):
     for row in rows:
         lines.append(",".join(_fmt(getattr(row, name)) for name in names))
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text, row_type):
-    """Inverse of :func:`rows_to_csv` for a known row dataclass."""
-    lines = [line for line in text.split("\n") if line]
-    names = lines[0].split(",")
-    specs = {f.name: f.type for f in fields(row_type)}
-    rows = []
-    for line in lines[1:]:
-        values = {}
-        for name, cell in zip(names, line.split(",")):
-            if specs[name] in (bool, "bool"):
-                values[name] = cell == "1"
-            else:
-                values[name] = float(cell)
-        rows.append(row_type(**values))
-    return rows
 
 
 def rows_to_table(rows):

@@ -141,17 +141,17 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
     """
     if variant not in ("taylor", "hermite"):
         raise ValueError(f"variant must be 'taylor' or 'hermite', got {variant!r}")
-    u = np.asarray(u, dtype=np.complex128)
-    d = -0.5 * (problem.coefficients(t0) @ (problem.generators @ u))  # A(t0) u
-    for bj, plan, bcheck in _stage_plans(scheme, problem, t0, tau, derivatives=True):
-        if variant == "taylor":
-            u = plan.apply(u)
-            d = plan.apply(d) + _gamma_action(bj, bcheck, tau, scheme.order, u)
-        else:
-            d = plan.apply(d + _hermite_action(bj, bcheck, tau, u, -1.0))
-            u = plan.apply(u)
-            d = d + _hermite_action(bj, bcheck, tau, u, 1.0)
-    d = d - 0.5 * (problem.coefficients(t0 + tau) @ (problem.generators @ u))
+    with np.errstate(over="ignore", invalid="ignore"):  # stage vectors and the defect are checked
+        d = -0.5 * (problem.coefficients(t0) @ (problem.generators @ u))  # A(t0) u
+        for bj, plan, bcheck in _stage_plans(scheme, problem, t0, tau, derivatives=True):
+            if variant == "taylor":
+                u = plan.apply(u)
+                d = plan.apply(d) + _gamma_action(bj, bcheck, tau, scheme.order, u)
+            else:
+                d = plan.apply(d + _hermite_action(bj, bcheck, tau, u, -1.0))
+                u = plan.apply(u)
+                d = d + _hermite_action(bj, bcheck, tau, u, 1.0)
+        d = d - 0.5 * (problem.coefficients(t0 + tau) @ (problem.generators @ u))
     return _checked(u, d, "exponential")
 
 
@@ -166,12 +166,11 @@ def _gamma_action(bj, bcheck, tau, order, x):
     for _ in range(order - 1):
         powers.append(bj @ powers[-1])
     nested = bcheck @ np.stack(powers, axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
-        gamma, coeff = powers[1] + tau * nested[:, 0], tau
-        for m in range(1, order):
-            nested = bj @ nested[:, :-1] - nested[:, 1:]
-            coeff *= tau / (m + 1)
-            gamma = gamma + coeff * nested[:, 0]
+    gamma, coeff = powers[1] + tau * nested[:, 0], tau
+    for m in range(1, order):
+        nested = bj @ nested[:, :-1] - nested[:, 1:]
+        coeff *= tau / (m + 1)
+        gamma = gamma + coeff * nested[:, 0]
     return gamma
 
 
@@ -182,5 +181,4 @@ def _hermite_action(bj, bcheck, tau, x, sign):
     if bcheck is None:
         return 0.5 * bx
     cx, cbx = (bcheck @ np.stack((x, bx), axis=1)).T
-    with np.errstate(over="ignore", invalid="ignore"):  # stage vectors are checked
-        return 0.5 * (bx + tau * cx) + (sign * tau * tau / 12.0) * (bj @ cx - cbx)
+    return 0.5 * (bx + tau * cx) + (sign * tau * tau / 12.0) * (bj @ cx - cbx)

@@ -11,6 +11,8 @@ stack, so a state and a tangent vector can share one call.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import StepFailure
@@ -94,56 +96,74 @@ def expm(m):
 # which d terms of the series of exp(A) reach double precision (Al-Mohy and
 # Higham, "Computing the action of the matrix exponential", SIAM J. Sci.
 # Comput. 33 (2011), Table 3.1).
-_TAYLOR_DEGREES = np.array([*range(1, 31), 35, 40, 45, 50, 55])
-_TAYLOR_THETA = np.array([
+_TAYLOR_DEGREES = (*range(1, 31), 35, 40, 45, 50, 55)
+_TAYLOR_THETA = (
     2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2,
     8.96e-2, 1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1,
     9.31e-1, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86,
     3.08, 3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9,
-])
+)
 _UNIT_ROUNDOFF = 2.0**-53
+_LAZY_STOP = _UNIT_ROUNDOFF * (1.0 + 1e-6)  # see ExpmPlan
+_max = np.maximum.reduce  # with axis None: ndarray.max without its Python wrapper
 
 
 class ExpmPlan:
-    """How :meth:`apply` computes expm(m) @ v, chosen once per matrix m for any
-    number of vectors (Al-Mohy and Higham 2011, Sec. 3): the Taylor degree d and
-    scaling steps s minimize d*s subject to ||m||_1 / s <= theta_d, and each series
-    stops once its last two terms are negligible against the partial sum (max-norm).
-    A huge norm uses expm(m), formed once, when that costs fewer flops than d*s
-    products. ``buf``, a real array of m's shape, takes |m| for the 1-norm."""
+    """How :meth:`apply` computes expm(m) @ v, chosen once per matrix m (Al-Mohy
+    and Higham 2011, Sec. 3): the Taylor degree d and scaling steps s minimize d*s
+    subject to ||m||_1 / s <= theta_d, and a series stops once its last two terms
+    and partial sum f meet max|t_(j-1)| + max|t_j| <= u max|f|. max|f| is taken
+    only where this can hold: (1 + 1e-6) (max|f_0| + max|t_1| + ... + max|t_j|)
+    bounds it (the roundoff of 55 terms is below 2^-45; subnormal entries matter
+    only where u max|f| rounds to 0), so every stop and every bit is the eager
+    test's. A huge norm uses expm(m), formed once, when that costs fewer flops
+    than d*s products. ``buf``, a real array of m's shape, takes |m|."""
 
     def __init__(self, m, buf=None):
         a = self.matrix = _as_square(m)
-        norm = self.norm = np.abs(a, out=buf).sum(axis=0).max() if a.size else 0.0
-        if not np.isfinite(norm):
+        norm = self.norm = float(np.abs(a, out=buf).sum(axis=0).max()) if a.size else 0.0
+        if not norm < math.inf:  # NaN too
             raise ValueError("matrix has non-finite entries")
-        with np.errstate(over="ignore", divide="ignore"):  # an inf step count only loses the min
-            steps = np.ceil(norm / _TAYLOR_THETA)
-            self.squarings = max(0.0, np.ceil(np.log2(norm / _PADE13_THETA)))
-        best = np.argmin(_TAYLOR_DEGREES * steps)
-        self.degree, self.steps, self._dense = int(_TAYLOR_DEGREES[best]), steps[best], None
+        cost, self.degree, self.steps, self._dense = math.inf, 1, math.inf, None
+        for d, theta in zip(_TAYLOR_DEGREES, _TAYLOR_THETA):  # the first d of least d*s
+            if d >= cost:  # s >= 1 from here on, so no larger d costs less
+                break
+            s = norm / theta  # a float: a huge norm gives an inf step count, no warning
+            s = s if s == math.inf else float(math.ceil(s))
+            if d * s < cost:
+                cost, self.degree, self.steps = d * s, d, s
+        self.squarings = np.ceil(np.log2(norm / _PADE13_THETA)) if norm > _PADE13_THETA else 0.0
 
     def apply(self, v):
-        """expm(m) @ v; a non-finite v (an upstream overflow) is a StepFailure."""
+        """expm(m) @ v for a vector or an (n, k) block v; a non-finite v (an
+        upstream overflow) is a StepFailure, a v of the wrong shape a ValueError."""
         a, n = self.matrix, self.matrix.shape[0]
-        if not np.isfinite(v).all():
+        v = np.asarray(v, dtype=np.complex128)
+        if v.ndim not in (1, 2) or v.shape[0] != n:
+            raise ValueError(f"expected a vector or block of {n} rows, got shape {v.shape}")
+        mags = np.empty(v.shape)  # takes |term| and, where a series may stop, |f|
+        peak = float(_max(np.abs(v, out=mags), None, initial=0.0))  # the first step's max|f|
+        if not peak < math.inf and not np.isfinite(v).all():  # |v| overflows on a huge finite v
             raise StepFailure("exponential stage vector is not finite")
         if self.norm == 0.0 or v.size == 0:
             return v.copy()
         if self.degree * self.steps * v.size > (8.0 + self.squarings) * n * n:
             self._dense = expm(a) if self._dense is None else self._dense
             return self._dense @ v
-        steps, mags = int(self.steps), np.empty(v.shape)  # mags takes |term| and |f|
+        steps = int(self.steps)
         f, term = v.copy(), v
-        for _ in range(steps):
-            previous = np.abs(term, out=mags).max()
+        for step in range(steps):
+            # max|f| as the step starts, and the upper bound on max|f| built from it
+            previous = bound = float(_max(np.abs(f, out=mags), None)) if step else peak
             for j in range(1, self.degree + 1):
                 term = a @ term
                 term /= steps * j
-                size = np.abs(term, out=mags).max()
+                size = float(_max(np.abs(term, out=mags), None))
                 f += term
-                if previous + size <= _UNIT_ROUNDOFF * np.abs(f, out=mags).max():
-                    break
+                bound += size
+                if previous + size <= bound * _LAZY_STOP:  # else the exact test fails too
+                    if previous + size <= _UNIT_ROUNDOFF * float(_max(np.abs(f, out=mags), None)):
+                        break
                 previous = size
             term = f
         return f

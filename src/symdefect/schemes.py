@@ -208,11 +208,11 @@ def _stage_plans(scheme, problem, t0, tau, derivatives=False):
                + g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
                                  + tau (c_2 - 1/2) [A_1, A'_2]),
     or None where it vanishes identically (or without ``derivatives``). Each
-    is in one of three n x n slots the family keeps, overwritten by the next
-    stage; |tau B_j| passes through the third."""
-    if not hasattr(problem, "_stage_workspace"):  # made by the family's first step
-        problem._stage_workspace = np.empty((3, *problem.generators.shape[1:]), complex)
-    bj_slot, generator_slot, check_slot = problem._stage_workspace
+    is in one of three n x n slots the family keeps for the calling thread,
+    overwritten by the next stage; |tau B_j| passes through the third."""
+    if not hasattr(problem._stage_workspace, "slots"):  # made by the thread's first step
+        problem._stage_workspace.slots = np.empty((3, *problem.generators.shape[1:]), complex)
+    bj_slot, generator_slot, check_slot = problem._stage_workspace.slots
     for b, c in _stage_coefficients(scheme, problem, t0, tau, derivatives):
         bj = problem.combination(b, out=bj_slot)
         plan = ExpmPlan(np.multiply(bj, tau, out=generator_slot), check_slot.real)

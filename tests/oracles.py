@@ -5,6 +5,8 @@ RK4, closed forms) so the tests check the library against code that shares
 none of its implementation paths.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
 from symdefect.linalg import commutator
@@ -86,6 +88,31 @@ def expm_skew_hermitian(a):
     """exp(a) for skew-Hermitian a, from the eigendecomposition of i*a."""
     lam, q = np.linalg.eigh(1j * np.asarray(a))  # a = -i q diag(lam) q^H
     return (q * np.exp(-1j * lam)) @ q.conj().T
+
+
+def expm_action_eager(plan, v, stops=None):
+    """The Taylor series of ``plan.apply(v)`` with the eager stopping test,
+    max|f| taken after every term (Al-Mohy and Higham 2011, Sec. 3): the
+    reference the lazy test must match bit for bit. ``stops``, a list, gets
+    the term each scaling step stopped at (None for a full series)."""
+    a, steps, mags = plan.matrix, int(plan.steps), np.empty(v.shape)
+    f, term = v.copy(), v
+    for _ in range(steps):
+        previous = np.abs(term, out=mags).max()
+        for j in range(1, plan.degree + 1):
+            term = a @ term
+            term /= steps * j
+            size = np.abs(term, out=mags).max()
+            f += term
+            if previous + size <= 2.0**-53 * np.abs(f, out=mags).max():
+                break
+            previous = size
+        else:
+            j = None
+        if stops is not None:
+            stops.append(j)
+        term = f
+    return f
 
 
 def expmid_step(problem, t0, tau, u):
@@ -345,3 +372,20 @@ def random_skew_hermitian(rng, n, scale=1.0):
 def random_state(rng, n, scale=1.0):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return scale * v / np.linalg.norm(v)
+
+
+def parse_csv(text, row_type):
+    """Inverse of ``cli.rows_to_csv`` for a known row dataclass."""
+    lines = [line for line in text.split("\n") if line]
+    names = lines[0].split(",")
+    specs = {f.name: f.type for f in fields(row_type)}
+    rows = []
+    for line in lines[1:]:
+        values = {}
+        for name, cell in zip(names, line.split(",")):
+            if specs[name] in (bool, "bool"):
+                values[name] = cell == "1"
+            else:
+                values[name] = float(cell)
+        rows.append(row_type(**values))
+    return rows

@@ -19,7 +19,6 @@ from symdefect.cli import (
     GlobalRow,
     dyadic_ladder,
     main,
-    parse_csv,
     rows_to_csv,
     rows_to_table,
     run_global_study,
@@ -29,7 +28,7 @@ from symdefect.control import METHOD_NAMES, Method, StepRecord, make_method
 from symdefect.errors import ConvergenceFailure, StepFailure
 from symdefect.problems import PROBLEM_NAMES, RosenZener, ToySplit
 
-from oracles import ScalarQuadratic
+from oracles import ScalarQuadratic, parse_csv
 
 
 def rows_equal(a, b):

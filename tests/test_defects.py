@@ -1,6 +1,8 @@
 """Defect evaluators: closed forms, cross-path agreement, deviation orders."""
 
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -600,6 +602,31 @@ class TestStageWorkspace:
         for method, got in zip(methods, interleaved):
             alone = list(trajectory(method, RosenZener()))
             assert len(alone) == len(got) == 2 * steps
+            assert all(np.array_equal(a, b) for a, b in zip(got, alone))
+
+    def test_threads_sharing_a_family_match_serial_runs(self):
+        # each thread keeps its own stage slots on the family, so two threads
+        # stepping one family at once get bitwise the states and defects of
+        # serial runs (with shared slots their stages overwrite each other)
+        method, tau, steps = make_method("cf4"), 0.1, 150
+        barrier = threading.Barrier(2)
+
+        def trajectory(prob, t0, wait=False):
+            if wait:
+                barrier.wait()
+            u, out = prob.initial_state(), []
+            for k in range(steps):
+                u, d = method.step_with_defect(prob, t0 + k * tau, tau, u)
+                out += [u, d]
+            return out
+
+        starts = (0.0, 0.05)
+        serial = [trajectory(RosenZener(), t0) for t0 in starts]
+        shared = RosenZener()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda t0: trajectory(shared, t0, wait=True), starts))
+        for got, alone in zip(threaded, serial):
+            assert len(got) == len(alone) == 2 * steps
             assert all(np.array_equal(a, b) for a, b in zip(got, alone))
 
 

@@ -14,8 +14,15 @@ from symdefect import linalg
 from symdefect.errors import StepFailure
 from symdefect.linalg import ExpmPlan, commutator, expm, fft, ifft
 from symdefect.problems import RosenZener
+from symdefect.schemes import CF4, _stage_plans
 
-from oracles import expm_skew_hermitian, naive_dft, random_skew_hermitian, random_state
+from oracles import (
+    expm_action_eager,
+    expm_skew_hermitian,
+    naive_dft,
+    random_skew_hermitian,
+    random_state,
+)
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]], dtype=np.complex128)
@@ -189,6 +196,106 @@ class TestExpmPlan:
             plan.apply(v)
         with pytest.raises(ValueError):
             ExpmPlan(np.full((2, 2), np.inf))
+
+    def test_real_and_list_vectors_are_converted(self):
+        # a float64 vector or a list acts as its complex128 copy would
+        plan = ExpmPlan(random_skew_hermitian(np.random.default_rng(19), 4))
+        v = np.arange(4.0)
+        expected = plan.apply(v.astype(np.complex128))
+        assert np.array_equal(plan.apply(v), expected)
+        assert np.array_equal(plan.apply(list(v)), expected)
+
+    def test_wrong_shape_is_value_error(self):
+        plan = ExpmPlan(0.1 * np.eye(4))
+        for bad in (np.ones(3), np.ones((5, 2)), np.ones(()), np.ones((4, 1, 1)), [1.0, 2.0]):
+            with pytest.raises(ValueError, match="expected a vector or block of 4 rows"):
+                plan.apply(bad)
+
+
+class TestLazyStop:
+    """apply takes max|f| only where the series may stop; every result is
+    bitwise that of the eager test in ``oracles.expm_action_eager``."""
+
+    @staticmethod
+    def check(m, v):
+        plan = ExpmPlan(m)
+        n, v = plan.matrix.shape[0], np.asarray(v, dtype=np.complex128)
+        assert plan.degree * plan.steps * v.size <= (8.0 + plan.squarings) * n * n  # Taylor path
+        assert plan.apply(v).tobytes() == expm_action_eager(plan, v).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 5.0])
+    def test_random_dense_matrices(self, scale):
+        rng = np.random.default_rng(20)
+        for n in (7, 30):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            self.check(m * scale / np.linalg.norm(m, 1), random_state(rng, n))
+
+    @pytest.mark.parametrize("norm", [10.0, 25.0, 50.0])
+    def test_skew_hermitian_with_many_scaling_steps(self, norm):
+        # the partial sums cancel heavily, so the running bound is loose
+        rng = np.random.default_rng(21)
+        m = random_skew_hermitian(rng, 40)
+        m *= norm / np.linalg.norm(m, 1)
+        plan = ExpmPlan(m)
+        assert plan.steps > 1
+        for _ in range(3):
+            self.check(m, random_state(rng, 40))
+
+    def test_blocks(self):
+        rng = np.random.default_rng(22)
+        m = random_skew_hermitian(rng, 30)
+        for k, norm in ((1, 2.0), (2, 2.0), (3, 0.5)):
+            block = rng.normal(size=(30, k)) + 1j * rng.normal(size=(30, k))
+            self.check(m * norm / np.linalg.norm(m, 1), block)
+
+    def test_zeros_and_tiny_entries(self):
+        rng = np.random.default_rng(23)
+        m = random_skew_hermitian(rng, 12)
+        m *= 2.0 / np.linalg.norm(m, 1)
+        v = random_state(rng, 12)
+        v[::3] = 0.0
+        v[1::3] *= 1e-300
+        for w in (v, np.zeros(12), 1e-310 * v, np.full(12, 5e-324), 1e300 * v):
+            self.check(m, w)
+
+    @pytest.mark.parametrize("lo, hi", [(5.1, 5.5), (10.1, 11.0)])
+    def test_stops_on_the_boundary(self, lo, hi):
+        # entry 0 grows alone and sets every max-norm, so the bound on max|f|
+        # is tight, and entries 1.. shift down one per term, so a series that
+        # misses its stop changes an entry. Between lo and hi (one plan, one
+        # and two scaling steps) a series first stops one term later; just
+        # below that scale the last two terms pass with no margin
+        n = 40
+        m0 = np.diag(np.ones(n - 1), 1).astype(np.complex128)
+        m0[0, :2] = 1.0, 0.0
+        v = np.zeros(n, dtype=np.complex128)
+        v[0], v[-1] = 1.0, 1e-3
+
+        def stops(c):
+            out = []
+            expm_action_eager(ExpmPlan(c * m0), v, out)
+            return out
+
+        plans = [(p.degree, p.steps) for p in (ExpmPlan(lo * m0), ExpmPlan(hi * m0))]
+        first = stops(lo)
+        assert plans[0] == plans[1] and stops(hi) != first and None not in first
+        while np.nextafter(lo, hi) < hi:  # bisect to the last scale of the first stops
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if stops(mid) == first else (lo, mid)
+        for c in (lo, lo * (1.0 - 1e-12), lo * (1.0 - 1e-6), lo * (1.0 - 1e-4), hi):
+            self.check(c * m0, v)
+
+    def test_rosen_zener_stage(self, monkeypatch):
+        # one stage tau B_j of a cf4 step: max|v| once, max|t_j| per term and
+        # max|f| only where the series may stop (the eager test: 2d + 1)
+        prob = RosenZener()
+        _, plan, _ = next(_stage_plans(CF4, prob, 0.3, 0.5))
+        m, u = plan.matrix.copy(), prob.initial_state()
+        self.check(m, u)
+        calls = []
+        monkeypatch.setattr(linalg, "_max", lambda *a, **k: calls.append(1) or np.maximum.reduce(*a, **k))
+        ExpmPlan(m).apply(u)
+        assert len(calls) <= plan.degree * plan.steps + 2 * plan.steps
 
 
 class TestCommutators:
