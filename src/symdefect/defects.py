@@ -93,14 +93,14 @@ def splitting_defect_semilinear(scheme, problem, tau, u, kind="symmetrized"):
     Both kinds are d_tau S - s dS(u).F(u) - (1 - s) F(S(u)), with the
     boundary share s = 1/2 (symmetrized) or 0 (classical); they differ only
     in their boundary terms. The defect is accumulated alongside the
-    solution, starting from -s B(u). Each A-stage moves defect and state as
-    one (2, n) stack through ``problem.flow_A``, whose stage weight w adds
-    w A exp(tA) u to the moved defect; w is a_j, less s at the first stage
-    and 1 - s at the last (so both of symmetrized Strang's weights are 0).
-    Each B-stage moves both through one ``problem.dflow_B_and_flow`` call,
-    whose weight b_j adds b_j B(u) to the defect. The trailing -(1 - s) B(u_next)
-    closes the defect; the final no-op B-stage (b_J = 0) is skipped. A
-    defect no longer finite (a huge step) fails the step.
+    solution, starting from -s B(u), in one (2, n) stack (d, u) built once.
+    Each A-stage moves the stack through ``problem.flow_A``, whose stage
+    weight w adds w A exp(tA) u to the moved defect; w is a_j, less s at the
+    first stage and 1 - s at the last (so symmetrized Strang's are both 0).
+    Each B-stage moves it through one ``problem.dflow_B_and_flow`` call, whose
+    weight b_j adds b_j B(u) and which returns the moved stack. The trailing
+    -(1 - s) B(u_next) closes the defect; the final no-op B-stage (b_J = 0)
+    is skipped. A defect no longer finite (a huge step) fails the step.
     """
     _check_kind(kind)
     if scheme.b[-1] != 0.0:
@@ -109,14 +109,14 @@ def splitting_defect_semilinear(scheme, problem, tau, u, kind="symmetrized"):
     u = np.asarray(u, dtype=np.complex128)
     last = len(scheme.a) - 1
     with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
-        d = -share * problem.b(u)
+        du = np.array((-share * problem.b(u), u))
         for j, (aj, bj) in enumerate(zip(scheme.a, scheme.b)):
             weight = aj - share * (j == 0) - (1.0 - share) * (j == last)
-            d, u = problem.flow_A(aj * tau, np.stack((d, u)), weight)
+            du = problem.flow_A(aj * tau, du, weight)
             if j < last:
-                d, u = problem.dflow_B_and_flow(bj * tau, u, d, bj)
-        d = d - (1.0 - share) * problem.b(u)
-    return _checked(u, d, "splitting")
+                du = problem.dflow_B_and_flow(bj * tau, du[1], du[0], bj)
+        d = du[0] - (1.0 - share) * problem.b(du[1])
+    return _checked(du[1], d, "splitting")
 
 
 # the acceptance gate in tests/test_acceptance.py imports Strang's defect by this name

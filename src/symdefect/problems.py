@@ -35,13 +35,8 @@ def soliton_value(x, t):
     return 2.0 * np.exp(1j * (1.5 * t - x)) / np.cosh(2.0 * (t + x))
 
 
-def _mod2(u):
-    # |u|^2 without the square root of abs()
-    return u.real * u.real + u.imag * u.imag
-
-
 def _re_dot(u, v):
-    # componentwise Re(conj(u) * v)
+    # componentwise Re(conj(u) * v); _re_dot(u, u) is |u|^2 without abs()'s square root
     return u.real * v.real + u.imag * v.imag
 
 
@@ -59,9 +54,10 @@ class CubicNLS:
     * the B-subflow conserves the modulus of every component, so it reduces
       to the phase rotation u_m -> exp(i t |u_m|^2) u_m.
 
-    ``flow_A(t, (d, u), weight)`` adds weight * A exp(tA) u to the moved d
-    and keeps the phases exp(-i k^2 t / 2) of the last few t, read-only;
-    ``dflow_B_and_flow(t, u, v, weight)`` moves v + weight * B(u) with one |u|^2.
+    ``flow_A(t, (d, u), weight)`` adds weight * A exp(tA) u to the moved d and
+    keeps the phases exp(-i k^2 t / 2) of the last few t, read-only (each one
+    exp of modes 0..n/2, mirrored: k^2 is bitwise even); one |u|^2 serves
+    ``dflow_B_and_flow(t, u, v, weight)``'s stack (moved v + weight B(u), flowed u).
 
     `initial` selects the start state: "soliton" samples the exact soliton
     at t = 0 (and enables :meth:`exact_state`), "two-soliton" superposes two
@@ -94,7 +90,8 @@ class CubicNLS:
         if phase is None:
             if len(self._phases) >= self._PHASE_MEMO:
                 self._phases.clear()
-            phase = self._phases[t] = np.exp(-1j * t * self._half_ksq)
+            phase = np.exp(-1j * t * self._half_ksq[: self.n // 2 + 1])
+            phase = self._phases[t] = np.concatenate((phase, phase[-2:0:-1]))
             phase.flags.writeable = False
         spec = fft(u)
         np.multiply(phase, spec, out=spec)  # phase first: not bitwise commutative
@@ -105,20 +102,23 @@ class CubicNLS:
     # -- nonlinear part ----------------------------------------------------
 
     def b(self, u):
-        return 1j * _mod2(u) * u
+        return 1j * _re_dot(u, u) * u
 
     def flow_B(self, t, u):
-        return np.exp(1j * t * _mod2(u)) * u
+        return np.exp(1j * t * _re_dot(u, u)) * u
 
     def dflow_B(self, t, u, v):
         return self.dflow_B_and_flow(t, u, v)[0]
 
     def dflow_B_and_flow(self, t, u, v, weight=0.0):
-        mod2 = _mod2(u)
+        mod2 = _re_dot(u, u)
         if weight:
             v = v + weight * (1j * mod2 * u)  # v + weight * b(u)
         phase = np.exp(1j * t * mod2)
-        return phase * (v + 2j * t * u * _re_dot(u, v)), phase * u
+        out = np.empty((2, *u.shape), dtype=np.complex128)  # (moved v, flowed u)
+        np.multiply(phase, v + 2j * t * u * _re_dot(u, v), out=out[0])  # phase first, as in flow_A
+        np.multiply(phase, u, out=out[1])
+        return out
 
     # -- combined autonomous view -------------------------------------------
 
@@ -126,7 +126,7 @@ class CubicNLS:
         return self.apply_A(u) + self.b(u)
 
     def df(self, u, v):
-        return self.apply_A(v) + 1j * (_mod2(u) * v + 2.0 * u * _re_dot(u, v))
+        return self.apply_A(v) + 1j * (_re_dot(u, u) * v + 2.0 * u * _re_dot(u, v))
 
     # -- states --------------------------------------------------------------
 
@@ -273,7 +273,7 @@ class ToySplit:
         if weight:
             v = v + weight * self.b(u)
         den = self._denominator(t, u)
-        return v / den**2, u / den
+        return np.array((v / den**2, u / den))
 
     # -- combined autonomous view ---------------------------------------------
 

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from symdefect.linalg import commutator
+from symdefect.linalg import commutator, fft, ifft
 from symdefect.problems import LinearFamily
 from symdefect.schemes import _stage_plans
 
@@ -282,7 +282,29 @@ class BFreeSemilinear:
         return np.asarray(v, dtype=np.complex128).copy()
 
     def dflow_B_and_flow(self, t, u, v, weight=0.0):
-        return self.dflow_B(t, u, v + weight * self.b(u)), self.flow_B(t, u)
+        return np.array((self.dflow_B(t, u, v + weight * self.b(u)), self.flow_B(t, u)))
+
+
+def nls_flow_A_full(nls, t, u, weight=0.0):
+    """``CubicNLS.flow_A`` with no memo and the A-phase exp(-i t k^2 / 2)
+    taken over the whole spectrum: the reference its memoized phase, built
+    from half the spectrum and mirrored, must match bit for bit."""
+    spec = fft(u)
+    np.multiply(np.exp(-1j * t * nls._half_ksq), spec, out=spec)
+    if weight:
+        spec[0] += (-1j * weight) * nls._half_ksq * spec[1]
+    return ifft(spec)
+
+
+def nls_dflow_B_and_flow_pair(t, u, v, weight=0.0):
+    """The B-stage of ``CubicNLS.dflow_B_and_flow`` as two fresh products,
+    returned as the pair (dE_B(t, u) (v + weight * B(u)), E_B(t, u)): the
+    reference its stacked, preallocated result must match bit for bit."""
+    mod2 = u.real * u.real + u.imag * u.imag
+    if weight:
+        v = v + weight * (1j * mod2 * u)
+    phase = np.exp(1j * t * mod2)
+    return phase * (v + 2j * t * u * (u.real * v.real + u.imag * v.imag)), phase * u
 
 
 class ConstantLinear(LinearFamily):

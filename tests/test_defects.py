@@ -278,6 +278,14 @@ class TestGenericSplittingDefect:
         assert transform_calls(lambda: method.step(nls, 0.0, 0.03, u)) == 10
         assert transform_calls(lambda: method.step_with_defect(nls, 0.0, 0.03, u)) == 10
 
+    @pytest.mark.parametrize("scheme", [STRANG, EMB43AKS], ids=["strang", "emb43aks"])
+    def test_at_most_one_stack_per_step(self, monkeypatch, nls, scheme):
+        # the (d, u) stack is built once; every stage returns the next one
+        calls, stack = [], np.stack
+        monkeypatch.setattr(np, "stack", lambda *args, **kw: calls.append(1) or stack(*args, **kw))
+        splitting_defect_semilinear(scheme, nls, 0.03, nls.initial_state())
+        assert len(calls) <= 1
+
     @pytest.mark.parametrize("case", ["nls-two-soliton", "toy-split", "b-free"])
     def test_fused_stages_match_the_loop(self, case):
         # weighted A-flow and fused B-stage against separate calls: the state

@@ -10,7 +10,7 @@ from symdefect.linalg import fft, ifft
 from symdefect.problems import CubicNLS, RosenZener, ToySplit, make_problem, soliton_value
 from symdefect.schemes import EMB43AKS
 
-from oracles import fd_slope, fit_slope, rk4
+from oracles import fd_slope, fit_slope, nls_dflow_B_and_flow_pair, nls_flow_A_full, rk4
 
 
 class TestSoliton:
@@ -176,6 +176,62 @@ class TestPhaseMemo:
 
         with ThreadPoolExecutor(max_workers=3) as pool:
             assert all(pool.map(run, (0, 5, 11)))
+
+
+STAGE_SIZES = [1, 2, 4, 64, 512]
+STAGE_TIMES = [-0.3, 0.0, 1e-3, 0.27, 40.0]
+STAGE_WEIGHTS = [0.0, -0.23, 0.86]
+
+
+class TestStageKernelsBitwise:
+    """The CubicNLS stage kernels against the two-product, full-spectrum
+    forms they replace (tests/oracles.py), bit for bit."""
+
+    def test_half_ksq_is_mirror_symmetric(self):
+        # the half-spectrum A-phase rests on _half_ksq[j] == _half_ksq[n - j]
+        for n in (2**k for k in range(1, 15)):
+            h = CubicNLS(n=n)._half_ksq
+            assert np.array_equal(h[1:], h[:0:-1]), n
+
+    @pytest.mark.parametrize("n", STAGE_SIZES)
+    def test_flow_a_matches_the_full_spectrum_phase(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        nls = CubicNLS(n=n)
+        for t in STAGE_TIMES:
+            cases = [(stack[1], 0.0)] + [(stack, w) for w in STAGE_WEIGHTS]
+            for u, weight in cases:
+                expected = nls_flow_A_full(nls, t, u, weight)
+                miss = CubicNLS(n=n).flow_A(t, u, weight)
+                hit = nls.flow_A(t, u, weight)  # a memo hit from each t's second case on
+                assert np.array_equal(miss, expected) and np.array_equal(hit, expected), (t, weight)
+
+    @pytest.mark.parametrize("n", STAGE_SIZES)
+    @pytest.mark.parametrize("rows", [None, 2], ids=["vector", "stack"])
+    def test_b_stage_matches_the_two_products(self, n, rows):
+        shape = (n,) if rows is None else (rows, n)
+        rng = np.random.default_rng(n)
+        u = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        nls = CubicNLS(n=n)
+        for t in STAGE_TIMES:
+            for weight in STAGE_WEIGHTS:
+                out = nls.dflow_B_and_flow(t, u, v, weight)
+                moved, flowed = nls_dflow_B_and_flow_pair(t, u, v, weight)
+                assert out.shape == (2, *shape)
+                assert np.array_equal(out[0], moved) and np.array_equal(out[1], flowed), (t, weight)
+
+    def test_b_stage_sizes_its_stack_from_u(self):
+        # pointwise in u and v: a (3, 64) stack on a problem of another length
+        rng = np.random.default_rng(11)
+        u = rng.normal(size=(3, 64)) + 1j * rng.normal(size=(3, 64))
+        v = rng.normal(size=(3, 64)) + 1j * rng.normal(size=(3, 64))
+        nls = CubicNLS(n=512)
+        for weight in (0.0, -0.23):
+            moved, flowed = nls.dflow_B_and_flow(0.27, u, v, weight)
+            expected = nls_dflow_B_and_flow_pair(0.27, u, v, weight)
+            assert np.array_equal(moved, expected[0]) and np.array_equal(flowed, expected[1])
+        assert np.array_equal(nls.dflow_B(0.27, u, v), nls_dflow_B_and_flow_pair(0.27, u, v)[0])
 
 
 @pytest.fixture(scope="module")
