@@ -1,12 +1,12 @@
 """Dense complex linear algebra and power-of-two FFTs.
 
 Vectors are 1-d complex128 numpy arrays, matrices 2-d. All functions are
-pure. ``expm`` forms the matrix exponential (Pade 13, scaling and
-squaring); ``ExpmPlan(m).apply(v)`` computes its action on a vector or an
-(n, k) block by a scaled truncated Taylor series without forming it, the
-plan chosen once per matrix for any number of vectors. The FFTs are numpy's,
-restricted to power-of-two lengths; they also transform each row of a 2-d
-stack, so a state and a tangent vector can share one call.
+pure. ``ExpmPlan(m).apply(v)`` computes the action of the matrix exponential
+on a vector or an (n, k) block by a scaled truncated Taylor series without
+forming it, the plan chosen once per matrix for any number of vectors;
+``expm`` forms the matrix by scaling and squaring the same series. The FFTs
+are numpy's, restricted to power-of-two lengths; they also transform each
+row of a 2-d stack, so a state and a tangent vector can share one call.
 """
 
 from __future__ import annotations
@@ -25,27 +25,6 @@ __all__ = [
     "ifft",
 ]
 
-# Order-13 diagonal Pade approximant of exp: polynomial coefficients and the
-# largest 1-norm for which the unscaled approximant stays at double precision.
-_PADE13_B = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_PADE13_THETA = 5.371920351148152
-
-
 def _as_square(m):
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -54,38 +33,16 @@ def _as_square(m):
 
 
 def expm(m):
-    """Matrix exponential by scaling and squaring.
-
-    Uses the order-13 diagonal Pade approximant with 1-norm based scaling,
-    accurate to ~1e-13 relative for moderate norms. Raises
-    :class:`~symdefect.errors.StepFailure` when the squarings overflow.
-    """
+    """Matrix exponential by scaling and squaring the Taylor series of
+    :class:`ExpmPlan`: with q its ``squarings``, the series of m / 2**q, at most
+    degree 18, is summed on the identity and squared q times (Al-Mohy and Higham
+    2011, Thm. 3.1 with s = 2**q). Raises :class:`~symdefect.errors.StepFailure`
+    when the squarings overflow."""
     plan = ExpmPlan(m)  # the 1-norm and the squarings
-    a, n, squarings = plan.matrix, plan.matrix.shape[0], int(plan.squarings)
-    if squarings:
-        a = a / (2.0**squarings)
-    ident = np.eye(n, dtype=np.complex128)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    b = _PADE13_B
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6
-        + b[5] * a4
-        + b[3] * a2
-        + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6
-        + b[4] * a4
-        + b[2] * a2
-        + b[0] * ident
-    )
-    f = np.linalg.solve(v - u, v + u)
+    q, n = plan.squarings, plan.matrix.shape[0]  # q reaches 1024, where 2.0**q overflows
+    f = ExpmPlan(plan.matrix * 0.5**q).apply(np.eye(n, dtype=np.complex128))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for _ in range(squarings):
+        for _ in range(q):
             f = f @ f
     if not np.isfinite(f).all():
         raise StepFailure(f"matrix exponential overflowed at 1-norm {plan.norm:.3e}")
@@ -116,8 +73,10 @@ class ExpmPlan:
     only where this can hold: (1 + 1e-6) (max|f_0| + max|t_1| + ... + max|t_j|)
     bounds it (the roundoff of 55 terms is below 2^-45; subnormal entries matter
     only where u max|f| rounds to 0), so every stop and every bit is the eager
-    test's. A huge norm uses expm(m), formed once, when that costs fewer flops
-    than d*s products. ``buf``, a real array of m's shape, takes |m|."""
+    test's. A huge norm uses expm(m), formed once, where its (18 + q) n + k
+    matrix-vector products (q the ``squarings``) are fewer than the series' d*s*k
+    on an (n, k) block, so expm's own apply never does. ``buf``, a real array of
+    m's shape, takes |m|."""
 
     def __init__(self, m, buf=None):
         a = self.matrix = _as_square(m)
@@ -132,7 +91,8 @@ class ExpmPlan:
             s = s if s == math.inf else float(math.ceil(s))
             if d * s < cost:
                 cost, self.degree, self.steps = d * s, d, s
-        self.squarings = np.ceil(np.log2(norm / _PADE13_THETA)) if norm > _PADE13_THETA else 0.0
+        theta = _TAYLOR_THETA[17]  # theta_18: expm's squarings leave a norm of at most this
+        self.squarings = math.ceil(math.log2(norm / theta)) if norm > theta else 0
 
     def apply(self, v):
         """expm(m) @ v for a vector or an (n, k) block v; a non-finite v (an
@@ -147,7 +107,7 @@ class ExpmPlan:
             raise StepFailure("exponential stage vector is not finite")
         if self.norm == 0.0 or v.size == 0:
             return v.copy()
-        if self.degree * self.steps * v.size > (8.0 + self.squarings) * n * n:
+        if (self.degree * self.steps - 1) * v.size > (18 + self.squarings) * n * n:
             self._dense = expm(a) if self._dense is None else self._dense
             return self._dense @ v
         steps = int(self.steps)

@@ -11,7 +11,6 @@ its conjugate may both enter.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -153,7 +152,6 @@ class LinearFamily:
     formed once here, so a stage generator is one :meth:`combination`."""
 
     def __init__(self, generators):
-        self._stage_workspace = threading.local()  # each thread's stage slots, see _stage_plans
         m = len(generators)
         p, q = np.triu_indices(m, 1)
         self.basis = np.empty((m + len(p), *np.shape(generators[0])), dtype=np.complex128)

@@ -7,6 +7,7 @@ nonautonomous ones additionally take the step's start time t0.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +200,9 @@ def _stage_coefficients(scheme, problem, t0, tau, derivatives):
         yield (np.concatenate((head, gj * tau * comm)) if gj else head), check
 
 
+_STAGE_SLOTS = threading.local()  # each thread's stage slots by matrix shape, see _stage_plans
+
+
 def _stage_plans(scheme, problem, t0, tau, derivatives=False):
     """Per stage (B_j, ExpmPlan of tau B_j, Bcheck_j) on a LinearFamily, each
     matrix one ``problem.combination`` of coefficients sampled once per node:
@@ -208,11 +212,14 @@ def _stage_plans(scheme, problem, t0, tau, derivatives=False):
                + g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
                                  + tau (c_2 - 1/2) [A_1, A'_2]),
     or None where it vanishes identically (or without ``derivatives``). Each
-    is in one of three n x n slots the family keeps for the calling thread,
-    overwritten by the next stage; |tau B_j| passes through the third."""
-    if not hasattr(problem._stage_workspace, "slots"):  # made by the thread's first step
-        problem._stage_workspace.slots = np.empty((3, *problem.generators.shape[1:]), complex)
-    bj_slot, generator_slot, check_slot = problem._stage_workspace.slots
+    is in one of three n x n slots this module keeps per thread and matrix
+    shape, made by the thread's first step at that shape and overwritten by the
+    next stage; |tau B_j| passes through the third."""
+    shape = problem.generators.shape[1:]
+    slots = vars(_STAGE_SLOTS).get(shape)
+    if slots is None:
+        slots = vars(_STAGE_SLOTS)[shape] = np.empty((3, *shape), complex)
+    bj_slot, generator_slot, check_slot = slots
     for b, c in _stage_coefficients(scheme, problem, t0, tau, derivatives):
         bj = problem.combination(b, out=bj_slot)
         plan = ExpmPlan(np.multiply(bj, tau, out=generator_slot), check_slot.real)

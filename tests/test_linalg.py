@@ -78,14 +78,26 @@ class TestExpm:
         assert np.linalg.norm(e.conj().T @ e - np.eye(12)) <= 1e-11
 
     def test_overflow_is_step_failure(self):
-        # some 65 squarings amplify the roundoff of a unitary Pade
-        # approximant until it overflows
-        with pytest.raises(StepFailure):
-            expm(1e20 * RosenZener().A(0.3))
+        # some 67 squarings amplify the roundoff of a unitary Taylor
+        # approximant until it overflows; near the largest float they are 1024
+        for m in (1e20 * RosenZener().A(0.3), np.full((3, 3), 5e307)):
+            with pytest.raises(StepFailure):
+                expm(m)
 
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             expm(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_scaling_boundaries(self, k):
+        # just below, at and just above theta_18 2**k, where the squarings
+        # step from k to k + 1 and the series' degree climbs back
+        rng = np.random.default_rng(30 + k)
+        for factor in (1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52):
+            m = random_skew_hermitian(rng, 12)
+            m *= 1.09 * 2.0**k * factor / np.linalg.norm(m, 1)
+            exact = expm_skew_hermitian(m)
+            assert np.linalg.norm(expm(m) - exact) <= 1e-13 * np.linalg.norm(exact)
 
 
 class TestExpmAction:
@@ -104,7 +116,7 @@ class TestExpmAction:
         m = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
         m /= np.linalg.norm(m, 1)
         v = random_state(rng, 20)
-        exact = expm(m) @ v
+        exact = taylor_expm(m, terms=30) @ v  # 30 terms are exact to roundoff at norm 1
         assert np.linalg.norm(ExpmPlan(m).apply(v) - exact) <= 1e-13 * np.linalg.norm(exact)
 
     def test_block_matches_columns(self):
@@ -145,6 +157,17 @@ class TestExpmAction:
         assert time.perf_counter() - start < 1.0
         exact = expm(m) @ v
         assert np.linalg.norm(out - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    def test_huge_norm_identity_block_returns_quickly(self):
+        # the fallback forms expm(m), whose own identity-block apply sums the
+        # series of m / 2**q and so never falls back again
+        rng = np.random.default_rng(24)
+        m = random_skew_hermitian(rng, 30)
+        m *= 1e6 / np.linalg.norm(m, 1)
+        start = time.perf_counter()
+        out = ExpmPlan(m).apply(np.eye(30))
+        assert time.perf_counter() - start < 1.0
+        assert np.linalg.norm(out.conj().T @ out - np.eye(30)) <= 1e-8
 
 
 class TestExpmPlan:
@@ -218,10 +241,11 @@ class TestLazyStop:
 
     @staticmethod
     def check(m, v):
-        plan = ExpmPlan(m)
-        n, v = plan.matrix.shape[0], np.asarray(v, dtype=np.complex128)
-        assert plan.degree * plan.steps * v.size <= (8.0 + plan.squarings) * n * n  # Taylor path
-        assert plan.apply(v).tobytes() == expm_action_eager(plan, v).tobytes()
+        plan, v = ExpmPlan(m), np.asarray(v, dtype=np.complex128)
+        with pytest.MonkeyPatch.context() as patch:  # the Taylor path: no dense fallback
+            patch.setattr(linalg, "expm", lambda a: pytest.fail("apply formed expm(m)"))
+            out = plan.apply(v)
+        assert out.tobytes() == expm_action_eager(plan, v).tobytes()
 
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 5.0])
     def test_random_dense_matrices(self, scale):
