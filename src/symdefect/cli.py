@@ -242,15 +242,16 @@ def _check_settings(args, problem):
     needs = method_needs(args.scheme)
     if not hasattr(problem, needs):
         raise ValueError(f"scheme {args.scheme} needs {needs!r}, which {args.problem} lacks")
-    if args.command != "adaptive" and not 0.0 < args.tau_max < math.inf:
-        raise ValueError(f"--tau-max must be positive and finite, got {args.tau_max}")
     if not 1 <= getattr(args, "levels", 1) <= 64:
         raise ValueError(f"--levels must be 1 to 64, got {args.levels}")
+    finest = args.tau_max / 2.0 ** (getattr(args, "levels", 1) - 1)
+    if args.command != "adaptive" and not 0.0 < finest <= args.tau_max < math.inf:
+        raise ValueError(f"--tau-max must be finite with a positive finest step, got {args.tau_max}")
     if not 0.0 < getattr(args, "t_end", 1.0) < math.inf:
         raise ValueError(f"--t-end must be positive and finite, got {args.t_end}")
     if args.command == "global":  # the first and the finest level
         _step_count(args.t_end, args.tau_max)
-        _step_count(args.t_end, args.tau_max / 2.0 ** (args.levels - 1))
+        _step_count(args.t_end, finest)
     if args.out:
         folder = os.path.dirname(os.path.abspath(args.out))
         target = args.out if os.path.exists(args.out) else folder

@@ -2,8 +2,8 @@
 
 Vectors are 1-d complex128 numpy arrays, matrices 2-d. All functions are
 pure. ``ExpmPlan(m).apply(v)`` computes the action of the matrix exponential
-on a vector or an (n, k) block by a scaled truncated Taylor series without
-forming it, the plan chosen once per matrix for any number of vectors;
+on a vector or an (n, k) block without forming it: s scaling steps of d Taylor
+terms, all summed, d and s chosen once per matrix for any number of vectors;
 ``expm`` forms the matrix by scaling and squaring the same series. The FFTs
 are numpy's, restricted to power-of-two lengths; they also transform each
 row of a 2-d stack, so a state and a tangent vector can share one call.
@@ -60,23 +60,17 @@ _TAYLOR_THETA = (
     9.31e-1, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86,
     3.08, 3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9,
 )
-_UNIT_ROUNDOFF = 2.0**-53
-_LAZY_STOP = _UNIT_ROUNDOFF * (1.0 + 1e-6)  # see ExpmPlan
-_max = np.maximum.reduce  # with axis None: ndarray.max without its Python wrapper
 
 
 class ExpmPlan:
     """How :meth:`apply` computes expm(m) @ v, chosen once per matrix m (Al-Mohy
     and Higham 2011, Sec. 3): the Taylor degree d and scaling steps s minimize d*s
-    subject to ||m||_1 / s <= theta_d, and a series stops once its last two terms
-    and partial sum f meet max|t_(j-1)| + max|t_j| <= u max|f|. max|f| is taken
-    only where this can hold: (1 + 1e-6) (max|f_0| + max|t_1| + ... + max|t_j|)
-    bounds it (the roundoff of 55 terms is below 2^-45; subnormal entries matter
-    only where u max|f| rounds to 0), so every stop and every bit is the eager
-    test's. A huge norm uses expm(m), formed once, where its (18 + q) n + k
-    matrix-vector products (q the ``squarings``) are fewer than the series' d*s*k
-    on an (n, k) block, so expm's own apply never does. ``buf``, a real array of
-    m's shape, takes |m|."""
+    subject to ||m||_1 / s <= theta_d, and each of the s steps sums all d terms,
+    with no stopping test: by their Thm. 3.1 d terms reach double precision, and
+    a stop skipped 16 of the 26,702 terms of a Rosen-Zener table pass. A huge norm
+    uses expm(m), formed once, where its (18 + q) n + k matrix-vector products (q
+    the ``squarings``) are fewer than the series' d*s*k on an (n, k) block, so
+    expm's own apply never does. ``buf``, a real array of m's shape, takes |m|."""
 
     def __init__(self, m, buf=None):
         a = self.matrix = _as_square(m)
@@ -101,9 +95,7 @@ class ExpmPlan:
         v = np.asarray(v, dtype=np.complex128)
         if v.ndim not in (1, 2) or v.shape[0] != n:
             raise ValueError(f"expected a vector or block of {n} rows, got shape {v.shape}")
-        mags = np.empty(v.shape)  # takes |term| and, where a series may stop, |f|
-        peak = float(_max(np.abs(v, out=mags), None, initial=0.0))  # the first step's max|f|
-        if not peak < math.inf and not np.isfinite(v).all():  # |v| overflows on a huge finite v
+        if not np.isfinite(v).all():
             raise StepFailure("exponential stage vector is not finite")
         if self.norm == 0.0 or v.size == 0:
             return v.copy()
@@ -112,19 +104,11 @@ class ExpmPlan:
             return self._dense @ v
         steps = int(self.steps)
         f, term = v.copy(), v
-        for step in range(steps):
-            # max|f| as the step starts, and the upper bound on max|f| built from it
-            previous = bound = float(_max(np.abs(f, out=mags), None)) if step else peak
+        for _ in range(steps):
             for j in range(1, self.degree + 1):
                 term = a @ term
                 term /= steps * j
-                size = float(_max(np.abs(term, out=mags), None))
                 f += term
-                bound += size
-                if previous + size <= bound * _LAZY_STOP:  # else the exact test fails too
-                    if previous + size <= _UNIT_ROUNDOFF * float(_max(np.abs(f, out=mags), None)):
-                        break
-                previous = size
             term = f
         return f
 

@@ -160,6 +160,10 @@ class TestSerialization:
         table = rows_to_table(rows)
         assert "tau" in table and "--" in table and "4.97" in table
 
+    def test_no_rows(self):
+        assert rows_to_csv([]) == ""
+        assert rows_to_table([]) == "(no rows)\n"
+
 
 class TestMain:
     def test_local_subcommand(self, tmp_path, capsys):
@@ -412,6 +416,8 @@ class TestMain:
             ["global", "--levels", "0"],
             ["local", "--levels", "1100"],
             ["adaptive", "--t-end", "-1"],
+            ["local", "--tau-max", "5e-324", "--levels", "2"],
+            ["global", "--tau-max", "5e-324", "--levels", "2", "--t-end", "5e-324"],
         ],
         ids=[
             "global-tau-max-zero",
@@ -423,6 +429,8 @@ class TestMain:
             "global-levels-zero",
             "local-levels-huge",
             "adaptive-t-end-negative",
+            "local-finest-step-underflows",
+            "global-finest-step-underflows",
         ],
     )
     def test_invalid_numbers_are_usage_errors(self, argv, capsys):

@@ -162,6 +162,14 @@ class TestReferenceSolve:
         via_cf4, _ = control.corrected_run(prob, make_method("cf4"), 0.0, 1.0, u0, 256)
         assert np.linalg.norm(reference - via_cf4) <= 1e-11
 
+    def test_problem_without_a_method_interface(self):
+        # no coefficients, flow_B or f: no default method can integrate it
+        class Bare:
+            pass
+
+        with pytest.raises(ValueError, match="a problem needs one of"):
+            reference_solve(Bare(), 0.0, 1.0, np.array([1.0 + 0j]))
+
     def test_scalar_quadratic_against_rk4(self):
         prob = ScalarQuadratic()
         u0 = np.array([1.0 + 0j])

@@ -14,7 +14,7 @@ from symdefect import linalg
 from symdefect.errors import StepFailure
 from symdefect.linalg import ExpmPlan, commutator, expm, fft, ifft
 from symdefect.problems import RosenZener
-from symdefect.schemes import CF4, _stage_plans
+from symdefect.schemes import CF4, EXPMID_AS_CFM, MAGNUS4, _stage_plans
 
 from oracles import (
     expm_action_eager,
@@ -235,17 +235,24 @@ class TestExpmPlan:
                 plan.apply(bad)
 
 
-class TestLazyStop:
-    """apply takes max|f| only where the series may stop; every result is
-    bitwise that of the eager test in ``oracles.expm_action_eager``."""
+class TestTaylorSeries:
+    """apply sums all d terms of each of its s scaling steps, with no stopping
+    test. On every case here that is bitwise the series stopped by the eager
+    test in ``oracles.expm_action_eager``: the terms a stop leaves out no longer
+    move a bit of the partial sum, so no table moves either."""
 
     @staticmethod
-    def check(m, v):
-        plan, v = ExpmPlan(m), np.asarray(v, dtype=np.complex128)
+    def check_plan(plan, v):
+        v = np.asarray(v, dtype=np.complex128)
         with pytest.MonkeyPatch.context() as patch:  # the Taylor path: no dense fallback
             patch.setattr(linalg, "expm", lambda a: pytest.fail("apply formed expm(m)"))
             out = plan.apply(v)
         assert out.tobytes() == expm_action_eager(plan, v).tobytes()
+        return out
+
+    @classmethod
+    def check(cls, m, v):
+        return cls.check_plan(ExpmPlan(m), v)
 
     @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 5.0])
     def test_random_dense_matrices(self, scale):
@@ -256,14 +263,17 @@ class TestLazyStop:
 
     @pytest.mark.parametrize("norm", [10.0, 25.0, 50.0])
     def test_skew_hermitian_with_many_scaling_steps(self, norm):
-        # the partial sums cancel heavily, so the running bound is loose
+        # the partial sums cancel heavily; the full series stays accurate
         rng = np.random.default_rng(21)
         m = random_skew_hermitian(rng, 40)
         m *= norm / np.linalg.norm(m, 1)
         plan = ExpmPlan(m)
         assert plan.steps > 1
+        exact = expm_skew_hermitian(m)
         for _ in range(3):
-            self.check(m, random_state(rng, 40))
+            v = random_state(rng, 40)
+            out = self.check(m, v)
+            assert np.linalg.norm(out - exact @ v) <= 1e-13 * np.linalg.norm(exact @ v)
 
     def test_blocks(self):
         rng = np.random.default_rng(22)
@@ -282,44 +292,25 @@ class TestLazyStop:
         for w in (v, np.zeros(12), 1e-310 * v, np.full(12, 5e-324), 1e300 * v):
             self.check(m, w)
 
-    @pytest.mark.parametrize("lo, hi", [(5.1, 5.5), (10.1, 11.0)])
-    def test_stops_on_the_boundary(self, lo, hi):
-        # entry 0 grows alone and sets every max-norm, so the bound on max|f|
-        # is tight, and entries 1.. shift down one per term, so a series that
-        # misses its stop changes an entry. Between lo and hi (one plan, one
-        # and two scaling steps) a series first stops one term later; just
-        # below that scale the last two terms pass with no margin
-        n = 40
-        m0 = np.diag(np.ones(n - 1), 1).astype(np.complex128)
-        m0[0, :2] = 1.0, 0.0
-        v = np.zeros(n, dtype=np.complex128)
-        v[0], v[-1] = 1.0, 1e-3
-
-        def stops(c):
-            out = []
-            expm_action_eager(ExpmPlan(c * m0), v, out)
-            return out
-
-        plans = [(p.degree, p.steps) for p in (ExpmPlan(lo * m0), ExpmPlan(hi * m0))]
-        first = stops(lo)
-        assert plans[0] == plans[1] and stops(hi) != first and None not in first
-        while np.nextafter(lo, hi) < hi:  # bisect to the last scale of the first stops
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if stops(mid) == first else (lo, mid)
-        for c in (lo, lo * (1.0 - 1e-12), lo * (1.0 - 1e-6), lo * (1.0 - 1e-4), hi):
-            self.check(c * m0, v)
-
-    def test_rosen_zener_stage(self, monkeypatch):
-        # one stage tau B_j of a cf4 step: max|v| once, max|t_j| per term and
-        # max|f| only where the series may stop (the eager test: 2d + 1)
+    @pytest.mark.parametrize(
+        "scheme, applies",
+        [(CF4, 80), (MAGNUS4, 40), (EXPMID_AS_CFM, 40)],
+        ids=["cf4", "magnus4", "expmid"],
+    )
+    def test_rosen_zener_stages(self, scheme, applies):
+        # every stage plan of a step on a grid of (t0, tau), applied to the
+        # initial state and to a random state: 160 applies over the schemes
         prob = RosenZener()
-        _, plan, _ = next(_stage_plans(CF4, prob, 0.3, 0.5))
-        m, u = plan.matrix.copy(), prob.initial_state()
-        self.check(m, u)
-        calls = []
-        monkeypatch.setattr(linalg, "_max", lambda *a, **k: calls.append(1) or np.maximum.reduce(*a, **k))
-        ExpmPlan(m).apply(u)
-        assert len(calls) <= plan.degree * plan.steps + 2 * plan.steps
+        u0 = prob.initial_state()
+        states = (u0, random_state(np.random.default_rng(25), u0.size))
+        done = 0
+        for tau in (1 / 64, 1 / 16, 1 / 4, 1 / 2, 1.0):
+            for t0 in (0.0, 0.3, 0.7, -2.0):
+                for _, plan, _ in _stage_plans(scheme, prob, t0, tau):
+                    for v in states:
+                        self.check_plan(plan, v)
+                        done += 1
+        assert done == applies
 
 
 class TestCommutators:

@@ -44,6 +44,10 @@ class TestCubicNLS:
         with pytest.raises(ValueError):
             CubicNLS(n=500)
 
+    def test_unknown_initial_condition(self):
+        with pytest.raises(ValueError, match="unknown initial condition 'bogus'"):
+            CubicNLS(initial="bogus")
+
     def test_flow_b_at_zero_state(self, nls):
         z = np.zeros(nls.n, dtype=np.complex128)
         assert np.array_equal(nls.flow_B(1.0, z), z)
