@@ -70,11 +70,14 @@ class ExpmPlan:
     a stop skipped 16 of the 26,702 terms of a Rosen-Zener table pass. A huge norm
     uses expm(m), formed once, where its (18 + q) n + k matrix-vector products (q
     the ``squarings``) are fewer than the series' d*s*k on an (n, k) block, so
-    expm's own apply never does. ``buf``, a real array of m's shape, takes |m|."""
+    expm's own apply never does. ``norm``, if given, is m's 1-norm with the bits
+    np.abs(m).sum(axis=0).max() gives, from a caller that knows where m is zero."""
 
-    def __init__(self, m, buf=None):
+    def __init__(self, m, norm=None):
         a = self.matrix = _as_square(m)
-        norm = self.norm = float(np.abs(a, out=buf).sum(axis=0).max()) if a.size else 0.0
+        if norm is None:
+            norm = float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
+        self.norm = norm
         if not norm < math.inf:  # NaN too
             raise ValueError("matrix has non-finite entries")
         cost, self.degree, self.steps, self._dense = math.inf, 1, math.inf, None

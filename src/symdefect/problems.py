@@ -149,17 +149,29 @@ class LinearFamily:
     generators. A subclass passes the (m, n, n) stack G_m and supplies
     ``coefficients(t)`` = (c_m(t)) and ``dcoefficients(t)`` = (c_m'(t)).
     ``basis`` stacks the generators and their brackets [G_p, G_q], p < q,
-    formed once here, so a stage generator is one :meth:`combination`."""
+    formed once here, so a stage generator is one :meth:`combination`. Its
+    support, the entries where any basis matrix is nonzero, is found once
+    too: a combination is written on the support only, and a matrix it
+    writes into must be zero off it."""
 
     def __init__(self, generators):
-        m = len(generators)
+        shapes = {np.shape(g) for g in generators}
+        shape = next(iter(shapes)) if len(shapes) == 1 else ()
+        if len(shape) != 2 or not shape[0] or shape[0] != shape[1] or not np.isfinite(generators).all():
+            raise ValueError("generators must be a non-empty stack of equal n x n finite "
+                             f"matrices with n >= 1, got shapes {sorted(shapes)}")
+        m, n = len(generators), shape[0]
         p, q = np.triu_indices(m, 1)
-        self.basis = np.empty((m + len(p), *np.shape(generators[0])), dtype=np.complex128)
+        self.basis = np.empty((m + len(p), n, n), dtype=np.complex128)
         gens = self.generators = self.basis[:m]
         gens[...] = generators
         np.matmul(gens[p], gens[q], out=self.basis[m:])  # the brackets, by broadcast
         self.basis[m:] -= gens[q] @ gens[p]
         self._pairs = p, q
+        flat = self.basis.reshape(len(self.basis), -1)
+        self._support = np.flatnonzero(flat.any(axis=0))  # row-major flat indices
+        self._values = flat.take(self._support, axis=1)  # (len(basis), support size)
+        self._columns = self._support % n
 
     def bracket(self, x, y):
         """Coefficients over the brackets of [sum_m x_m G_m, sum_m y_m G_m]."""
@@ -167,10 +179,20 @@ class LinearFamily:
         return x[p] * y[q] - x[q] * y[p]
 
     def combination(self, coef, out=None):
-        """sum_b coef_b basis_b over the first len(coef) basis matrices, into out if given."""
-        flat = self.basis[: len(coef)].reshape(len(coef), -1)
-        out = None if out is None else out.reshape(-1)
-        return np.matmul(coef, flat, out=out).reshape(self.basis.shape[1:])
+        """sum_b coef_b basis_b over the first len(coef) basis matrices, on the
+        support of out (zero off it) if given, else of a fresh zero matrix."""
+        if out is None:
+            out = np.zeros(self.basis.shape[1:], dtype=np.complex128)
+        np.put(out, self._support, coef @ self._values[: len(coef)])
+        return out
+
+    def scale(self, m, factor, out):
+        """factor * m on the support of out, for m and out zero off it; returns
+        the 1-norm of out, bit for bit np.abs(out).sum(axis=0).max(): the
+        column sums add their support entries in row order, as that sum does."""
+        product = np.multiply(m.take(self._support), factor)
+        np.put(out, self._support, product)
+        return float(np.bincount(self._columns, np.abs(product), minlength=len(out)).max())
 
     def A(self, t):
         return self.combination(self.coefficients(t))
@@ -196,11 +218,15 @@ class RosenZener(LinearFamily):
     """
 
     def __init__(self, k=50, omega=0.5, pulse_duration=1.0, amplitude=1.0):
+        field = self.omega, self.pulse_duration, self.amplitude = (
+            float(omega), float(pulse_duration), float(amplitude))
+        if not (float(k).is_integer() and k >= 1 and np.isfinite(field).all() and self.pulse_duration):
+            raise ValueError(
+                "RosenZener requires a positive integer k, a finite nonzero pulse_duration and "
+                f"finite omega and amplitude, got k={k!r}, omega={omega!r}, "
+                f"pulse_duration={pulse_duration!r}, amplitude={amplitude!r}")
         self.k = int(k)
         self.dim = 2 * self.k
-        self.omega = float(omega)
-        self.pulse_duration = float(pulse_duration)
-        self.amplitude = float(amplitude)
         sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
         sigma2 = np.array([[0.0, -1j], [1j, 0.0]], dtype=np.complex128)
         coupling = np.eye(self.k, k=1) + np.eye(self.k, k=-1)  # R

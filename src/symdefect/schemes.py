@@ -8,6 +8,7 @@ nonautonomous ones additionally take the step's start time t0.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,15 +215,18 @@ def _stage_plans(scheme, problem, t0, tau, derivatives=False):
     or None where it vanishes identically (or without ``derivatives``). Each
     is in one of three n x n slots this module keeps per thread and matrix
     shape, made by the thread's first step at that shape and overwritten by the
-    next stage; |tau B_j| passes through the third."""
+    next stage; ``problem.scale`` writes tau B_j and gives the plan its 1-norm.
+    The family writes on its basis's support only, so the slots are made anew,
+    zero, when a thread steps another family of that shape."""
     shape = problem.generators.shape[1:]
-    slots = vars(_STAGE_SLOTS).get(shape)
-    if slots is None:
-        slots = vars(_STAGE_SLOTS)[shape] = np.empty((3, *shape), complex)
+    slots, owner = vars(_STAGE_SLOTS).get(shape, (None, None))
+    if owner is None or owner() is not problem:
+        slots = np.zeros((3, *shape), complex)
+        vars(_STAGE_SLOTS)[shape] = slots, weakref.ref(problem)
     bj_slot, generator_slot, check_slot = slots
     for b, c in _stage_coefficients(scheme, problem, t0, tau, derivatives):
         bj = problem.combination(b, out=bj_slot)
-        plan = ExpmPlan(np.multiply(bj, tau, out=generator_slot), check_slot.real)
+        plan = ExpmPlan(generator_slot, problem.scale(bj, tau, out=generator_slot))
         yield bj, plan, c if c is None else problem.combination(c, out=check_slot)
 
 

@@ -344,6 +344,30 @@ class RandomFamily(LinearFamily):
         return np.ones(self.dim, dtype=np.complex128)
 
 
+class ZeroGeneratorFamily(RandomFamily):
+    """RandomFamily with G_1 = 0, so the brackets [G_0, G_1] and [G_1, G_2]
+    vanish too: basis matrices with no support of their own."""
+
+    def __init__(self, rng, n):
+        LinearFamily.__init__(
+            self, [random_skew_hermitian(rng, n), np.zeros((n, n)), random_skew_hermitian(rng, n)])
+        self.dim = n
+
+
+def dense_combination(family, coef):
+    """sum_b coef_b basis_b as one dense (k,) @ (k, n*n) product over the first
+    k = len(coef) basis matrices: the bits ``LinearFamily.combination`` writes
+    on the basis's support alone."""
+    k = len(coef)
+    return (np.asarray(coef) @ family.basis[:k].reshape(k, -1)).reshape(family.basis.shape[1:])
+
+
+def dense_norm_1(m):
+    """The 1-norm as dense column sums of |m|: the bits ``ExpmPlan`` computes
+    and ``LinearFamily.scale`` sums over the support."""
+    return float(np.abs(m).sum(axis=0).max())
+
+
 def stage_matrices(scheme, problem, t0, tau, derivatives=False):
     """Copies of the stage matrices the exponential steps run on: B_j, or
     the pairs (B_j, Bcheck_j) with ``derivatives``, as ``_stage_plans``

@@ -612,6 +612,33 @@ class TestStageWorkspace:
             assert len(alone) == len(got) == 2 * steps
             assert all(np.array_equal(a, b) for a, b in zip(got, alone))
 
+    def test_interleaved_families_of_one_size_match_separate_runs(self):
+        # RosenZener(k=3) and a RandomFamily share n = 6, so steps on one thread
+        # that alternate between them share its stage slots; the random family
+        # writes every entry, Rosen-Zener its support only, so each family must
+        # find the slots zero off its support to get its own bits
+        method, tau, steps = make_method("cf4", variant="taylor"), 0.1, 3
+
+        def families():
+            return RosenZener(k=3), RandomFamily(np.random.default_rng(9), 6)
+
+        def trajectory(prob):
+            u = prob.initial_state()
+            for k in range(steps):
+                yield method.step(prob, k * tau, tau, u)
+                u, d = method.step_with_defect(prob, k * tau, tau, u)
+                yield d
+
+        runs = [trajectory(prob) for prob in families()]
+        interleaved = [[], []]
+        for _ in range(2 * steps):
+            for k, run in enumerate(runs):
+                interleaved[k].append(next(run))
+        for prob, got in zip(families(), interleaved):
+            alone = list(trajectory(prob))
+            assert len(alone) == len(got) == 2 * steps
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, alone))
+
     def test_threads_sharing_a_family_match_serial_runs(self):
         # each thread keeps its own stage slots on the family, so two threads
         # stepping one family at once get bitwise the states and defects of

@@ -17,6 +17,7 @@ from symdefect.problems import RosenZener
 from symdefect.schemes import CF4, EXPMID_AS_CFM, MAGNUS4, _stage_plans
 
 from oracles import (
+    ConstantLinear,
     expm_action_eager,
     expm_skew_hermitian,
     naive_dft,
@@ -172,16 +173,22 @@ class TestExpmAction:
 
 class TestExpmPlan:
     def test_norm_is_the_1_norm_bitwise(self):
-        # |m| through a caller's buffer, also a strided real view of a
-        # complex slot, gives the bits of np.linalg.norm(m, 1)
+        # the plan's own column sums of |m|, and the norm a family passes in
+        # from its support (here m's nonzero entries), give the bits of
+        # np.linalg.norm(m, 1); a non-finite norm passed in is rejected
         rng = np.random.default_rng(16)
-        slot = np.empty((40, 40), dtype=np.complex128)
         for n in (1, 7, 40):
             m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m[rng.random((n, n)) < 0.7] = 0.0
             expected = np.linalg.norm(m, 1)
             assert ExpmPlan(m).norm == expected
-            assert ExpmPlan(m, np.empty((n, n))).norm == expected
-            assert ExpmPlan(m, slot[:n, :n].real).norm == expected
+            scaled = np.zeros_like(m)
+            norm = ConstantLinear(m).scale(m, 1.0, out=scaled)
+            assert ExpmPlan(scaled, norm).norm == expected
+            assert np.array_equal(scaled, m)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ExpmPlan(m, bad)
 
     def test_one_plan_applies_to_several_vectors(self):
         # each apply is bitwise the one-shot action, and the plan leaves its
@@ -291,6 +298,19 @@ class TestTaylorSeries:
         v[1::3] *= 1e-300
         for w in (v, np.zeros(12), 1e-310 * v, np.full(12, 5e-324), 1e300 * v):
             self.check(m, w)
+
+    @pytest.mark.parametrize("degree", [3, 7, 12, 18, 25])
+    def test_few_entries_just_under_theta(self, degree):
+        # theta_d (1 - 2^-30) times a 4-cycle of unit-modulus entries, whose
+        # powers keep the norm's powers: one scaling step of d terms, the last
+        # of which still moves bits of the sum (in the cases above it moves
+        # none), so a series cut one term short fails here
+        rng = np.random.default_rng(26)
+        m = np.roll(np.diag(np.exp(2j * np.pi * rng.random(4))), 1, axis=1)
+        plan = ExpmPlan(m * linalg._TAYLOR_THETA[degree - 1] * (1.0 - 2.0**-30))
+        assert (plan.degree, plan.steps) == (degree, 1.0)
+        for _ in range(3):
+            self.check_plan(plan, random_state(rng, 4))
 
     @pytest.mark.parametrize(
         "scheme, applies",

@@ -7,10 +7,28 @@ import pytest
 
 from symdefect.errors import StepFailure
 from symdefect.linalg import fft, ifft
-from symdefect.problems import CubicNLS, RosenZener, ToySplit, make_problem, soliton_value
+from symdefect.problems import (
+    CubicNLS,
+    LinearFamily,
+    RosenZener,
+    ToySplit,
+    make_problem,
+    soliton_value,
+)
 from symdefect.schemes import EMB43AKS
 
-from oracles import fd_slope, fit_slope, nls_dflow_B_and_flow_pair, nls_flow_A_full, rk4
+from oracles import (
+    ConstantLinear,
+    RandomFamily,
+    ZeroGeneratorFamily,
+    dense_combination,
+    dense_norm_1,
+    fd_slope,
+    fit_slope,
+    nls_dflow_B_and_flow_pair,
+    nls_flow_A_full,
+    rk4,
+)
 
 
 class TestSoliton:
@@ -276,6 +294,98 @@ class TestRosenZener:
         a = zener.A(t)
         h = 1j * a
         assert np.linalg.norm(h - h.conj().T) <= 1e-12 * np.linalg.norm(h)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"pulse_duration": 0.0},
+            {"pulse_duration": np.inf},
+            {"k": 2.5},
+            {"k": 0},
+            {"k": -1},
+            {"k": np.nan},
+            {"omega": np.nan},
+            {"amplitude": -np.inf},
+        ],
+        ids=["T0-zero", "T0-inf", "k-fraction", "k-zero", "k-negative", "k-nan", "omega-nan",
+             "amplitude-inf"],
+    )
+    def test_malformed_parameters_are_value_errors(self, params):
+        with pytest.raises(ValueError, match="RosenZener requires a positive integer k"):
+            RosenZener(**params)
+
+
+def _families():
+    rng = np.random.default_rng(40)
+    return [RosenZener(), RosenZener(k=3), RandomFamily(rng, 6), ZeroGeneratorFamily(rng, 5),
+            ConstantLinear(np.zeros((3, 3)))]
+
+
+FAMILY_IDS = ["rosen-zener", "rosen-zener-k3", "random", "zero-generator", "all-zero"]
+
+
+class TestLinearFamily:
+    """A family builds from a non-empty stack of equal n x n finite generators
+    and writes its combinations on the basis's support only: bit for bit the
+    dense products of tests/oracles.py, zero off the support."""
+
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            [],
+            np.ones((0, 2, 2)),
+            [np.ones((0, 0))],
+            [np.ones((2, 3))],
+            [np.ones(3)],
+            [np.eye(2), np.eye(3)],
+            [np.eye(2), np.full((2, 2), np.nan)],
+            [np.array([[0.0, np.inf], [0.0, 0.0]])],
+        ],
+        ids=["empty", "empty-stack", "n-zero", "not-square", "vector", "mixed-sizes", "nan", "inf"],
+    )
+    def test_malformed_generators_are_value_errors(self, generators):
+        with pytest.raises(ValueError, match="non-empty stack of equal n x n finite matrices"):
+            LinearFamily(generators)
+
+    @staticmethod
+    def coefficient_vectors(family, rng):
+        m, k = len(family.generators), len(family.basis)
+        sampled = [f(t) for t in (0.0, 0.3, -1.7) for f in (family.coefficients, family.dcoefficients)]
+        drawn = [rng.normal(size=m), rng.normal(size=k), rng.normal(size=k) + 1j * rng.normal(size=k)]
+        zeros = [np.zeros(k), np.concatenate(([0.0], -rng.uniform(1.0, 2.0, size=k - 1)))]
+        return sampled + drawn + zeros
+
+    @pytest.mark.parametrize("family", _families(), ids=FAMILY_IDS)
+    def test_combination_is_the_dense_product_bitwise(self, family):
+        # fresh and into one reused matrix, which stays zero off the support
+        rng = np.random.default_rng(41)
+        out = np.zeros(family.basis.shape[1:], dtype=np.complex128)
+        for coef in self.coefficient_vectors(family, rng):
+            expected = dense_combination(family, coef).tobytes()
+            assert family.combination(coef).tobytes() == expected
+            assert family.combination(coef, out=out) is out
+            assert out.tobytes() == expected
+        assert family.A(0.3).tobytes() == dense_combination(family, family.coefficients(0.3)).tobytes()
+
+    @pytest.mark.parametrize("family", _families(), ids=FAMILY_IDS)
+    def test_scale_is_the_dense_product_and_its_1_norm(self, family):
+        # bitwise on the support; off it a negative factor leaves +0 where the
+        # dense product has -0, so the matrices are compared as numbers there
+        rng = np.random.default_rng(42)
+        out = np.zeros(family.basis.shape[1:], dtype=np.complex128)
+        for coef in self.coefficient_vectors(family, rng):
+            m = family.combination(coef)
+            for factor in (0.25, -0.25, 1.0 / 64.0, 0.0, -3.0):
+                norm = family.scale(m, factor, out=out)
+                expected = np.multiply(dense_combination(family, coef), factor)
+                assert np.array_equal(out, expected)
+                nonzero = expected != 0
+                assert out[nonzero].tobytes() == expected[nonzero].tobytes()
+                assert np.float64(norm).tobytes() == np.float64(dense_norm_1(expected)).tobytes()
+
+    def test_rosen_zener_support(self):
+        # two generators and their bracket touch 492 of the 10,000 entries
+        assert np.count_nonzero(np.any(RosenZener().basis != 0, axis=0)) == 492
 
 
 class TestToySplit:

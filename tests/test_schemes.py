@@ -8,7 +8,7 @@ import pytest
 from symdefect import schemes
 from symdefect.defects import cfm_defect
 from symdefect.errors import StepFailure
-from symdefect.linalg import expm
+from symdefect.linalg import ExpmPlan, expm
 from symdefect.problems import CubicNLS, RosenZener, ToySplit
 from symdefect.schemes import (
     CF4,
@@ -29,8 +29,12 @@ from oracles import (
     BFreeSemilinear,
     ConstantLinear,
     LinearScalar,
+    RandomFamily,
     ScalarQuadratic,
     ZeroField,
+    ZeroGeneratorFamily,
+    dense_combination,
+    dense_norm_1,
     expmid_step,
     fit_slope,
     magnus4_generator,
@@ -292,6 +296,35 @@ class TestExponentialSteppers:
     def test_gauss_nodes(self):
         c1, c2 = GAUSS2_NODES
         assert c1 < c2 and abs(c1 + c2 - 1.0) <= 1e-15
+
+
+class TestStagePlansBitwise:
+    """Every stage matrix of an exponential step, written on the basis's
+    support, against the dense products of tests/oracles.py, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", [EXPMID_AS_CFM, CF4, MAGNUS4], ids=["expmid", "cf4", "magnus4"])
+    def test_stages_match_the_dense_products(self, scheme):
+        # Rosen-Zener, a family whose support is every entry and one with a
+        # zero generator; a negative tau, and a zero coefficient (expmid's
+        # midpoint at t = 0, where f2 = 0). tau B_j equals the dense product
+        # as numbers (see TestLinearFamily) and its plan applies bit for bit
+        rng = np.random.default_rng(43)
+        grid = [(0.0, 1 / 16), (0.3, 0.25), (-2.0, 1.0), (0.7, -0.25), (-0.125, 0.25)]
+        for prob in (RosenZener(), RandomFamily(rng, 6), ZeroGeneratorFamily(rng, 5)):
+            v = random_state(rng, prob.dim)
+            for t0, tau in grid:
+                coefficients = schemes._stage_coefficients(scheme, prob, t0, tau, True)
+                plans = schemes._stage_plans(scheme, prob, t0, tau, True)
+                for (b, c), (bj, plan, bcheck) in zip(coefficients, plans, strict=True):
+                    expected = dense_combination(prob, b)
+                    assert bj.tobytes() == expected.tobytes()
+                    scaled = np.multiply(expected, tau)
+                    assert np.array_equal(plan.matrix, scaled)
+                    assert np.float64(plan.norm).tobytes() == np.float64(dense_norm_1(scaled)).tobytes()
+                    assert plan.apply(v).tobytes() == ExpmPlan(scaled).apply(v).tobytes()
+                    assert (bcheck is None) == (c is None)
+                    if c is not None:
+                        assert bcheck.tobytes() == dense_combination(prob, c).tobytes()
 
 
 class TestReversibility:
