@@ -218,6 +218,8 @@ def reference_solve(problem, t0, t_end, u0, use_exact=True):
     """
     u0 = np.asarray(u0, dtype=np.complex128)
     ends = [t_end] if np.ndim(t_end) == 0 else list(t_end)
+    if not np.isfinite([t0, *ends]).all():
+        raise ValueError(f"start and end times must be finite, got t0 = {t0!r}, t_end = {t_end!r}")
     exact = _closed_form(problem, t0, u0) if use_exact else None
     order = sorted(range(len(ends)), key=lambda k: -abs(ends[k] - t0))
     states, runs, budget, method = {}, {}, _MAX_STEPS, None  # runs: (step, steps) -> state
@@ -336,8 +338,8 @@ class AdaptiveConfig:
     tau_max: float = 1.0
 
     def __post_init__(self):
-        if not self.tau_min <= self.tau_init <= self.tau_max:
-            raise ValueError("need tau_min <= tau_init <= tau_max")
+        if not 0.0 < self.tau_min <= self.tau_init <= self.tau_max:
+            raise ValueError("need 0 < tau_min <= tau_init <= tau_max")
         if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
 
@@ -376,6 +378,8 @@ def adaptive_integrate(problem, method, config, t0, t_end, u0):
     clamped to land on t_end exactly. Returns the final state and the full
     trace of trial steps, or raises ConvergenceFailure after ``_MAX_STEPS``.
     """
+    if not -math.inf < t0 <= t_end < math.inf:  # NaN too
+        raise ValueError(f"need finite t0 <= t_end, got t0 = {t0!r}, t_end = {t_end!r}")
     u = np.asarray(u0, dtype=np.complex128)
     records = []
     t = t0

@@ -157,28 +157,29 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
 
 def _gamma_action(bj, bcheck, tau, order, x):
     """Gamma_j x = B_j x + sum_{m=0}^{order-1} tau^(m+1)/(m+1)!
-    ad_{B_j}^m(Bcheck_j) x, from the columns ad^m(Bcheck_j) B_j^i x:
-    Bcheck_j acts once on the block (x, B_j x, ..., B_j^(order-1) x), and
-    ad^m(C) B^i x = B ad^(m-1)(C) B^i x - ad^(m-1)(C) B^(i+1) x."""
+    ad_{B_j}^m(Bcheck_j) x, from the vectors ad^m(Bcheck_j) B_j^i x:
+    Bcheck_j acts once on each of x, B_j x, ..., B_j^(order-1) x, and
+    ad^m(C) B^i x = B ad^(m-1)(C) B^i x - ad^(m-1)(C) B^(i+1) x, one by one."""
     if bcheck is None:
         return bj @ x
     powers = [x]
     for _ in range(order - 1):
         powers.append(bj @ powers[-1])
-    nested = bcheck @ np.stack(powers, axis=1)
-    gamma, coeff = powers[1] + tau * nested[:, 0], tau
+    nested = [bcheck @ v for v in powers]
+    gamma, coeff = powers[1] + tau * nested[0], tau
     for m in range(1, order):
-        nested = bj @ nested[:, :-1] - nested[:, 1:]
+        nested = [bj @ v - w for v, w in zip(nested, nested[1:])]
         coeff *= tau / (m + 1)
-        gamma = gamma + coeff * nested[:, 0]
+        gamma = gamma + coeff * nested[0]
     return gamma
 
 
 def _hermite_action(bj, bcheck, tau, x, sign):
     """C -/+ x = (B_j x + tau Bcheck_j x)/2 -/+ (tau^2/12) [B_j, Bcheck_j] x
-    for sign = -1/+1, the bracket applied as B_j (Bcheck_j x) - Bcheck_j (B_j x)."""
+    for sign = -1/+1, the bracket applied as B_j (Bcheck_j x) - Bcheck_j (B_j x):
+    four matrix-vector products, each on a contiguous vector."""
     bx = bj @ x
     if bcheck is None:
         return 0.5 * bx
-    cx, cbx = (bcheck @ np.stack((x, bx), axis=1)).T
-    return 0.5 * (bx + tau * cx) + (sign * tau * tau / 12.0) * (bj @ cx - cbx)
+    cx = bcheck @ x
+    return 0.5 * (bx + tau * cx) + (sign * tau * tau / 12.0) * (bj @ cx - bcheck @ bx)

@@ -66,8 +66,11 @@ class CubicNLS:
     _PHASE_MEMO = 8  # phases kept: emb43aks's 3 sub-steps at two step sizes
 
     def __init__(self, n=512, initial="soliton", carriers=(1.0, -3.0), centers=(5.0, -5.0)):
-        if n <= 0 or n & (n - 1):
-            raise ValueError(f"grid size must be a power of two, got {n}")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n <= 0 or n & (n - 1):
+            raise ValueError(f"grid size must be an integer power of two, got {n!r}")
+        if not (len(carriers) == len(centers) > 0 and np.isfinite((carriers, centers)).all()):
+            raise ValueError("carriers and centers must be non-empty, equally long and finite, "
+                             f"got {carriers!r} and {centers!r}")
         if initial not in ("soliton", "two-soliton"):
             raise ValueError(f"unknown initial condition {initial!r}")
         self.n = n
@@ -167,16 +170,16 @@ class LinearFamily:
         gens[...] = generators
         np.matmul(gens[p], gens[q], out=self.basis[m:])  # the brackets, by broadcast
         self.basis[m:] -= gens[q] @ gens[p]
-        self._pairs = p, q
+        self._pairs = list(zip(p.tolist(), q.tolist()))
         flat = self.basis.reshape(len(self.basis), -1)
         self._support = np.flatnonzero(flat.any(axis=0))  # row-major flat indices
         self._values = flat.take(self._support, axis=1)  # (len(basis), support size)
         self._columns = self._support % n
 
     def bracket(self, x, y):
-        """Coefficients over the brackets of [sum_m x_m G_m, sum_m y_m G_m]."""
-        p, q = self._pairs
-        return x[p] * y[q] - x[q] * y[p]
+        """Coefficients over the brackets of [sum_m x_m G_m, sum_m y_m G_m], a
+        list from the float sequences x and y."""
+        return [x[p] * y[q] - x[q] * y[p] for p, q in self._pairs]
 
     def combination(self, coef, out=None):
         """sum_b coef_b basis_b over the first len(coef) basis matrices, on the
@@ -232,16 +235,20 @@ class RosenZener(LinearFamily):
         coupling = np.eye(self.k, k=1) + np.eye(self.k, k=-1)  # R
         super().__init__([-1j * np.kron(sigma1, np.eye(self.k)), -1j * np.kron(sigma2, coupling)])
 
-    @np.errstate(over="ignore")  # here and below: cosh(huge t) = inf, sech -> 0
+    def _sech(self, x):  # amplitude sech(x); only |x| >= 710 overflows cosh (sech -> 0)
+        if abs(x) < 710.0:
+            return self.amplitude / np.cosh(x)
+        with np.errstate(over="ignore"):
+            return self.amplitude / np.cosh(x)
+
     def coefficients(self, t):
         wt = self.omega * t
-        sech = self.amplitude / np.cosh(t / self.pulse_duration)
+        sech = self._sech(t / self.pulse_duration)
         return np.array((sech * math.cos(wt), sech * math.sin(wt)))
 
-    @np.errstate(over="ignore")
     def dcoefficients(self, t):
         wt, x = self.omega * t, t / self.pulse_duration
-        sech, slope = self.amplitude / np.cosh(x), np.tanh(x) / self.pulse_duration
+        sech, slope = self._sech(x), np.tanh(x) / self.pulse_duration
         cos, sin, w = math.cos(wt), math.sin(wt), self.omega
         return np.array((sech * (-w * sin - cos * slope), sech * (w * cos - sin * slope)))
 

@@ -7,6 +7,7 @@ nonautonomous ones additionally take the step's start time t0.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from dataclasses import dataclass
@@ -176,29 +177,32 @@ def step_exp_midpoint(problem, t0, tau, u):
 
 
 def _stage_coefficients(scheme, problem, t0, tau, derivatives):
-    # per stage the coefficients of B_j and Bcheck_j (or None) over the basis
-    if not np.isfinite(tau):
+    # per stage the coefficients of B_j and Bcheck_j (or None) over the basis, summed on
+    # Python floats: they round as numpy's elementwise operations do, at far less cost
+    if not math.isfinite(tau):
         raise ValueError(f"step size must be finite, got {tau!r}")
     times = [t0 + ck * tau for ck in scheme.nodes]
-    coeffs = [problem.coefficients(t) for t in times]
+    coeffs = [problem.coefficients(t).tolist() for t in times]
     shifts = [ck - 0.5 for ck in scheme.nodes]
     g = scheme.commutators or (0.0,) * len(scheme.weights)
-    slopes = [problem.dcoefficients(t) if derivatives and sk else None for t, sk in zip(times, shifts)]
+    slopes = [problem.dcoefficients(t).tolist() if derivatives and sk else None
+              for t, sk in zip(times, shifts)]
     comm = problem.bracket(coeffs[0], coeffs[1]) if any(g) else None  # [A_1, A_2]
     for row, gj in zip(scheme.weights, g):
-        head = sum(ajk * ck for ajk, ck in zip(row, coeffs))
+        head = [sum(ajk * c for ajk, c in zip(row, column)) for column in zip(*coeffs)]
         check, weights = None, [ajk * sk for ajk, sk in zip(row, shifts)]
         if derivatives and (gj or any(weights)):
-            check = sum((w * dk for w, dk in zip(weights, slopes) if w), np.zeros_like(head))
+            terms = [(w, dk) for w, dk in zip(weights, slopes) if w]
+            check = [sum((w * dk[i] for w, dk in terms), 0.0) for i in range(len(head))]
             if gj:
                 (c1, c2), (s1, s2), (d1, d2) = coeffs, shifts, slopes
                 tail = comm
-                if s1:
-                    tail = tail + (tau * s1) * problem.bracket(d1, c2)
-                if s2:
-                    tail = tail + (tau * s2) * problem.bracket(c1, d2)
-                check = np.concatenate((check, gj * tail))
-        yield (np.concatenate((head, gj * tau * comm)) if gj else head), check
+                for s, pair in ((s1, (d1, c2)), (s2, (c1, d2))):
+                    if s:
+                        tail = [x + (tau * s) * y for x, y in zip(tail, problem.bracket(*pair))]
+                check += [gj * x for x in tail]
+            check = np.array(check)
+        yield np.array(head + [gj * tau * x for x in comm] if gj else head), check
 
 
 _STAGE_SLOTS = threading.local()  # each thread's stage slots by matrix shape, see _stage_plans

@@ -377,6 +377,41 @@ def stage_matrices(scheme, problem, t0, tau, derivatives=False):
     return stages if derivatives else [bj for bj, _ in stages]
 
 
+def stage_coefficients_numpy(scheme, problem, t0, tau, derivatives):
+    """Per stage the coefficient vectors (b, c) of B_j and Bcheck_j (c None
+    where it vanishes) as numpy sums over the sampled coefficient arrays, the
+    brackets of pairs p < q as x[p] y[q] - x[q] y[p] over ``np.triu_indices``:
+    the bits ``schemes._stage_coefficients`` must give on Python floats."""
+    p, q = np.triu_indices(len(problem.generators), 1)
+
+    def bracket(x, y):
+        return x[p] * y[q] - x[q] * y[p]
+
+    times = [t0 + ck * tau for ck in scheme.nodes]
+    coeffs = [problem.coefficients(t) for t in times]
+    shifts = [ck - 0.5 for ck in scheme.nodes]
+    g = scheme.commutators or (0.0,) * len(scheme.weights)
+    slopes = [problem.dcoefficients(t) if derivatives and sk else None
+              for t, sk in zip(times, shifts)]
+    comm = bracket(coeffs[0], coeffs[1]) if any(g) else None
+    stages = []
+    for row, gj in zip(scheme.weights, g):
+        head = sum(ajk * ck for ajk, ck in zip(row, coeffs))
+        check, weights = None, [ajk * sk for ajk, sk in zip(row, shifts)]
+        if derivatives and (gj or any(weights)):
+            check = sum((w * dk for w, dk in zip(weights, slopes) if w), np.zeros_like(head))
+            if gj:
+                (c1, c2), (s1, s2), (d1, d2) = coeffs, shifts, slopes
+                tail = comm
+                if s1:
+                    tail = tail + (tau * s1) * bracket(d1, c2)
+                if s2:
+                    tail = tail + (tau * s2) * bracket(c1, d2)
+                check = np.concatenate((check, gj * tail))
+        stages.append(((np.concatenate((head, gj * tau * comm)) if gj else head), check))
+    return stages
+
+
 def cfm_stages_dense(scheme, problem, t0, tau):
     """The stage pairs (B_j, Bcheck_j) of an exponential tableau from dense
     samples A_k = A(t0 + c_k tau), A'_k and matrix commutators:

@@ -170,6 +170,19 @@ class TestReferenceSolve:
         with pytest.raises(ValueError, match="a problem needs one of"):
             reference_solve(Bare(), 0.0, 1.0, np.array([1.0 + 0j]))
 
+    @pytest.mark.parametrize(
+        "t0, t_end",
+        [(0.0, np.inf), (0.0, np.nan), (0.0, [1.0, -np.inf]), (np.nan, 1.0)],
+        ids=["inf-end", "nan-end", "one-end-of-a-list", "nan-start"],
+    )
+    def test_non_finite_times_are_value_errors(self, t0, t_end, monkeypatch):
+        # an infinite end used to surface as a StepFailure from the first step
+        prob = RosenZener(k=2)
+        monkeypatch.setattr(control, "corrected_run", None)  # no step is taken
+        for use_exact in (True, False):
+            with pytest.raises(ValueError, match="start and end times must be finite"):
+                reference_solve(prob, t0, t_end, prob.initial_state(), use_exact=use_exact)
+
     def test_scalar_quadratic_against_rk4(self):
         prob = ScalarQuadratic()
         u0 = np.array([1.0 + 0j])
@@ -352,6 +365,34 @@ class TestController:
             AdaptiveConfig(tol=1e-8, tau_init=0.5, tau_min=1.0, tau_max=0.1)
         with pytest.raises(ValueError):
             AdaptiveConfig(tol=-1.0, tau_init=0.1)
+
+    @pytest.mark.parametrize("tau_min", [0.0, -1e-3, np.nan])
+    def test_tau_min_must_be_positive(self, tau_min):
+        # tau_init = tau_min = 0 used to take the whole trial budget in zero-length steps
+        with pytest.raises(ValueError, match="need 0 < tau_min"):
+            AdaptiveConfig(tol=1e-8, tau_init=0.0 if tau_min == 0.0 else 0.1, tau_min=tau_min)
+
+    @pytest.mark.parametrize(
+        "t0, t_end",
+        [(0.0, np.inf), (0.0, np.nan), (0.0, -1.0), (1.0, 0.5), (-np.inf, 1.0), (np.nan, 1.0)],
+        ids=["inf-end", "nan-end", "backward", "backward-off-zero", "inf-start", "nan-start"],
+    )
+    def test_bad_end_times_are_value_errors_before_any_trial(self, t0, t_end):
+        # these used to return (u0, []) as if the run had finished
+        def no_trial(*args):
+            raise AssertionError("a trial step was taken")
+
+        toy = ToySplit()
+        cfg = AdaptiveConfig(tol=1e-8, tau_init=0.1, tau_min=1e-10, tau_max=0.5)
+        with pytest.raises(ValueError, match="need finite t0 <= t_end"):
+            adaptive_integrate(toy, Method("none", 2, no_trial, no_trial), cfg, t0, t_end,
+                               toy.initial_state())
+
+    def test_empty_interval_takes_no_trial(self):
+        toy = ToySplit()
+        cfg = AdaptiveConfig(tol=1e-8, tau_init=0.1, tau_min=1e-10, tau_max=0.5)
+        u, records = adaptive_integrate(toy, make_method("imr"), cfg, 0.5, 0.5, toy.initial_state())
+        assert records == [] and np.array_equal(u, toy.initial_state())
 
     def test_propose_step_formula(self):
         cfg = AdaptiveConfig(tol=1e-8, tau_init=0.1, tau_min=1e-9, tau_max=10.0)

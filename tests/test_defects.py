@@ -1,5 +1,6 @@
 """Defect evaluators: closed forms, cross-path agreement, deviation orders."""
 
+import itertools
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -10,11 +11,14 @@ import pytest
 from symdefect import linalg
 from symdefect.control import make_method
 from symdefect.defects import (
+    _gamma_action,
+    _hermite_action,
     cfm_defect,
     imr_defect,
     splitting_defect_semilinear,
 )
 from symdefect.errors import StepFailure
+from symdefect.linalg import commutator
 from symdefect.problems import CubicNLS, RosenZener, ToySplit
 from symdefect.schemes import (
     CF4,
@@ -528,6 +532,45 @@ class TestMagnus4Defect:
         assert abs(fit_slope(taus, devs) - 7.0) <= 0.3
 
 
+def _stage_cases():
+    # (B_j, Bcheck_j or None) of every tableau on Rosen-Zener and a random family
+    rng = np.random.default_rng(45)
+    for prob in (RosenZener(), RandomFamily(rng, 6)):
+        for scheme, tau in itertools.product((EXPMID_AS_CFM, CF4, MAGNUS4), (0.125, -0.5, 1.0)):
+            for bj, bcheck in stage_matrices(scheme, prob, 0.3, tau, derivatives=True):
+                yield bj, bcheck, tau, random_state(rng, prob.dim)
+
+
+class TestStageActions:
+    """The stage actions of the exponential defect, matrix-vector products
+    only, against their dense formulas with matrix commutators."""
+
+    @staticmethod
+    def assert_close(got, expected):
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_hermite_action_is_the_dense_quadrature_matrix(self, sign):
+        # C -/+ = (B + tau C)/2 -/+ (tau^2/12) [B, C]; B/2 alone where C vanishes
+        for bj, bcheck, tau, x in _stage_cases():
+            if bcheck is None:
+                dense = 0.5 * bj
+            else:
+                dense = 0.5 * (bj + tau * bcheck) + (sign * tau**2 / 12.0) * commutator(bj, bcheck)
+            self.assert_close(_hermite_action(bj, bcheck, tau, x, sign), dense @ x)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_gamma_action_is_the_dense_ad_series(self, order):
+        # Gamma = B + sum_{m < order} tau^(m+1)/(m+1)! ad_B^m(C); B alone where C vanishes
+        for bj, bcheck, tau, x in _stage_cases():
+            dense, nested, coeff = bj.copy(), bcheck, 1.0
+            for m in range(order if bcheck is not None else 0):
+                coeff *= tau / (m + 1)
+                dense += coeff * nested
+                nested = commutator(bj, nested)
+            self.assert_close(_gamma_action(bj, bcheck, tau, order, x), dense @ x)
+
+
 class TestKernelCalls:
     @pytest.mark.parametrize(
         "name, variant, counts",
@@ -640,7 +683,7 @@ class TestStageWorkspace:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, alone))
 
     def test_threads_sharing_a_family_match_serial_runs(self):
-        # each thread keeps its own stage slots on the family, so two threads
+        # each thread keeps its own stage slots in schemes._STAGE_SLOTS, so two threads
         # stepping one family at once get bitwise the states and defects of
         # serial runs (with shared slots their stages overwrite each other)
         method, tau, steps = make_method("cf4"), 0.1, 150

@@ -1,5 +1,6 @@
 """Problem definitions: subflows, derivatives, closed forms, invariants."""
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -65,6 +66,23 @@ class TestCubicNLS:
     def test_unknown_initial_condition(self):
         with pytest.raises(ValueError, match="unknown initial condition 'bogus'"):
             CubicNLS(initial="bogus")
+
+    @pytest.mark.parametrize(
+        "n", [4.0, "8", True, None, 8.5], ids=["float", "str", "bool", "none", "fraction"])
+    def test_non_integer_grid_size_is_a_value_error(self, n):
+        with pytest.raises(ValueError, match="grid size must be an integer power of two"):
+            CubicNLS(n=n)
+
+    @pytest.mark.parametrize(
+        "carriers, centers",
+        [((1.0,), (5.0, -5.0)), ((1.0, -3.0), (5.0,)), ((), ()), ((np.nan, -3.0), (5.0, -5.0)),
+         ((1.0, -3.0), (5.0, np.inf))],
+        ids=["short-carriers", "short-centers", "empty", "nan-carrier", "inf-center"],
+    )
+    def test_malformed_solitons_are_value_errors(self, carriers, centers):
+        # a short tuple would drop a soliton through zip, a NaN poison the state
+        with pytest.raises(ValueError, match="carriers and centers must be non-empty"):
+            CubicNLS(n=64, initial="two-soliton", carriers=carriers, centers=centers)
 
     def test_flow_b_at_zero_state(self, nls):
         z = np.zeros(nls.n, dtype=np.complex128)
@@ -313,6 +331,21 @@ class TestRosenZener:
     def test_malformed_parameters_are_value_errors(self, params):
         with pytest.raises(ValueError, match="RosenZener requires a positive integer k"):
             RosenZener(**params)
+
+    def test_coefficients_are_the_closed_forms_bitwise(self):
+        # cosh overflows only at |t / T0| >= 710, where sech is 0 or subnormal: the
+        # samples there and below match the formulas under errstate, with no warning
+        zener = RosenZener(omega=0.7, pulse_duration=0.5, amplitude=1.5)
+        w, duration, amplitude = zener.omega, zener.pulse_duration, zener.amplitude
+        for t in (0.0, 0.3, -2.0, 354.99, 355.0, -355.2, 356.0, 1e5, -1e300, np.nan):
+            with np.errstate(over="ignore"):
+                x = t / duration
+                sech, slope = amplitude / np.cosh(x), np.tanh(x) / duration
+            cos, sin = math.cos(w * t), math.sin(w * t)
+            expected = np.array((sech * cos, sech * sin))
+            slopes = np.array((sech * (-w * sin - cos * slope), sech * (w * cos - sin * slope)))
+            assert zener.coefficients(t).tobytes() == expected.tobytes()
+            assert zener.dcoefficients(t).tobytes() == slopes.tobytes()
 
 
 def _families():

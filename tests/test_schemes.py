@@ -1,5 +1,6 @@
 """Stepper tests: tableau invariants, closed forms, orders, reversibility."""
 
+import itertools
 import time
 
 import numpy as np
@@ -42,6 +43,7 @@ from oracles import (
     random_state,
     rk4,
     solve_linearized_loop,
+    stage_coefficients_numpy,
     stage_matrices,
 )
 
@@ -325,6 +327,33 @@ class TestStagePlansBitwise:
                     assert (bcheck is None) == (c is None)
                     if c is not None:
                         assert bcheck.tobytes() == dense_combination(prob, c).tobytes()
+
+
+class TestStageCoefficientsBitwise:
+    """The stage coefficients, summed on Python floats, against the numpy sums
+    of tests/oracles.py, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", [EXPMID_AS_CFM, CF4, MAGNUS4], ids=["expmid", "cf4", "magnus4"])
+    def test_coefficients_match_the_numpy_sums(self, scheme):
+        # Rosen-Zener and a family of three generators, whose three brackets
+        # pin the pair order; zero and negative steps, with and without derivatives
+        rng = np.random.default_rng(44)
+        grid = [(0.0, 0.0), (0.0, 1 / 16), (0.3, 0.25), (-2.0, 1.0), (0.7, -0.25), (5.0, 3.3),
+                (-0.125, -1e-9)]
+        for prob in (RosenZener(), RandomFamily(rng, 4)):
+            for (t0, tau), derivatives in itertools.product(grid, (False, True)):
+                got = list(schemes._stage_coefficients(scheme, prob, t0, tau, derivatives))
+                expected = stage_coefficients_numpy(scheme, prob, t0, tau, derivatives)
+                for (b, c), (b_np, c_np) in zip(got, expected, strict=True):
+                    assert b.dtype == b_np.dtype and b.tobytes() == b_np.tobytes()
+                    assert (c is None) == (c_np is None)
+                    if c is not None:
+                        assert c.dtype == c_np.dtype and c.tobytes() == c_np.tobytes()
+
+    def test_non_finite_step_is_a_value_error(self):
+        for tau in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="step size must be finite"):
+                list(schemes._stage_coefficients(CF4, RosenZener(k=2), 0.0, tau, True))
 
 
 class TestReversibility:
