@@ -14,8 +14,6 @@ table. Runs are deterministic; the exit code is nonzero when any row
 failed.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os
@@ -135,12 +133,14 @@ def run_local_study(problem, method, tau_list):
 
 def run_global_study(problem, method, tau_list, t_end):
     """Fixed-step integration from t = 0 and the initial state to t_end per
-    ladder level, propagating the basic and the corrected solution side by side."""
+    ladder level, propagating the basic and the corrected solution side by side.
+    With the reference's own method, a level the reference's doubling ran is read from that run."""
     u0 = problem.initial_state()
     # global errors are measured against the semidiscrete flow itself, so the
     # closed-form shortcut (exact up to the spatial discretization error
     # only) is bypassed here
-    reference = reference_solve(problem, 0.0, t_end, u0, use_exact=False)
+    shared = {} if method is control._default_reference_method(problem) else None
+    reference = reference_solve(problem, 0.0, t_end, u0, use_exact=False, runs=shared)
 
     def measure(tau):
         steps = _step_count(t_end, tau)
@@ -148,7 +148,9 @@ def run_global_study(problem, method, tau_list, t_end):
         plain = u0
         for i in range(steps):
             plain = method.step(problem, i * h, h, plain)
-        corrected, _ = corrected_run(problem, method, 0.0, t_end, u0, steps)
+        corrected = shared.get((h, steps)) if shared else None
+        if corrected is None:
+            corrected, _ = corrected_run(problem, method, 0.0, t_end, u0, steps)
         g_err = state_norm(problem, plain - reference)
         return g_err, state_norm(problem, corrected - reference)
 
@@ -217,7 +219,7 @@ def _emit(rows, args):
         sys.stdout.write(text)
 
 
-def _add_common(parser):
+def _add_common(parser, tau_max):
     parser.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     parser.add_argument("--scheme", required=True, choices=METHOD_NAMES)
     parser.add_argument(
@@ -234,6 +236,7 @@ def _add_common(parser):
     )
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", default="table", choices=("csv", "table"))
+    parser.add_argument("--tau-max", type=float, default=tau_max)
 
 
 def _check_settings(args, problem):
@@ -269,21 +272,18 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_local = sub.add_parser("local", help="one-step error and deviation ladder")
-    _add_common(p_local)
-    p_local.add_argument("--tau-max", type=float, default=0.125)
+    _add_common(p_local, 0.125)
     p_local.add_argument("--levels", type=int, default=6)
 
     p_global = sub.add_parser("global", help="global errors of basic and corrected runs")
-    _add_common(p_global)
-    p_global.add_argument("--tau-max", type=float, default=0.125)
+    _add_common(p_global, 0.125)
     p_global.add_argument("--levels", type=int, default=6)
     p_global.add_argument("--t-end", type=float, default=1.0)
 
     p_adaptive = sub.add_parser("adaptive", help="adaptive step-size trace")
-    _add_common(p_adaptive)
+    _add_common(p_adaptive, 0.25)
     p_adaptive.add_argument("--tol", type=float, default=1e-8)
     p_adaptive.add_argument("--t-end", type=float, default=1.0)
-    p_adaptive.add_argument("--tau-max", type=float, default=0.25)
 
     args = parser.parse_args(argv)
     problem = make_problem(args.problem)

@@ -7,8 +7,6 @@ the integral representations of the local error, and the classic
 proportional step-size controller.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -135,6 +133,7 @@ _METHODS = {
     "magnus4": ("coefficients", _cfm, MAGNUS4, MAGNUS4.order, _SYM),
 }
 METHOD_NAMES = tuple(_METHODS)
+_BUILT = {}  # (name, defect, variant if used) -> Method: a study knows the reference's by identity
 
 
 def method_needs(name):
@@ -151,7 +150,7 @@ def make_method(name, defect="symmetrized", variant="hermite"):
     midpoint, Strang); ``variant`` picks the Taylor vs Hermite evaluation
     for the exponential integrators and is checked, but unused, for the
     others. Every scheme of a family runs through the family's one stepper
-    and one defect evaluator.
+    and one defect evaluator. Equal arguments (an unused variant aside) give one Method.
     """
     method_needs(name)  # rejects an unknown name
     _, build, tableau, order, kinds = _METHODS[name]
@@ -159,7 +158,8 @@ def make_method(name, defect="symmetrized", variant="hermite"):
         raise ValueError(f"defect {defect!r} is not available for {name}; use {kinds}")
     if variant not in ("taylor", "hermite"):
         raise ValueError(f"variant must be 'taylor' or 'hermite', got {variant!r}")
-    return Method(name, order, *build(tableau, defect, variant))
+    key = (name, defect, variant if build is _cfm else None)
+    return _BUILT.setdefault(key, Method(name, order, *build(tableau, defect, variant)))
 
 
 def _default_reference_method(problem):
@@ -197,7 +197,7 @@ def _closed_form(problem, t0, u0):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a run that blows up does not converge
-def reference_solve(problem, t0, t_end, u0, use_exact=True):
+def reference_solve(problem, t0, t_end, u0, use_exact=True, runs=None):
     """High-accuracy solution of the problem at t_end, or the list of them
     for a sequence of end times.
 
@@ -209,11 +209,12 @@ def reference_solve(problem, t0, t_end, u0, use_exact=True):
     (2**(p+2) - 1) is at most ``_REFERENCE_TOL * max(1, |current|)``; current
     + correction is returned. The factor assumes the order p + 2 that a
     symmetrized defect, as in every default method, gives. Ends are solved
-    longest first; a run keeps the states it passes where a later end's run
-    would take the same steps, and that end reuses them, so each answer is
-    bitwise that of a call for its end alone. All runs of one call take at
-    most ``_MAX_STEPS`` steps in total, or :class:`ConvergenceFailure` is
-    raised, early once the last three ratios of successive differences agree
+    longest first; ``runs`` (the caller's dict, or a new one) maps (h, i) to the
+    state after i steps of h from t0: each run's final state, and the states it
+    passes where a later end's run takes the same steps, which that end reuses,
+    so each answer is bitwise that of a call for its end alone. All runs of one
+    call take at most ``_MAX_STEPS`` steps in total, or :class:`ConvergenceFailure`
+    is raised, early once the last three ratios of successive differences agree
     within 25% and the steps left cannot reach ``_REFERENCE_TOL`` at that rate.
     """
     u0 = np.asarray(u0, dtype=np.complex128)
@@ -222,7 +223,7 @@ def reference_solve(problem, t0, t_end, u0, use_exact=True):
         raise ValueError(f"start and end times must be finite, got t0 = {t0!r}, t_end = {t_end!r}")
     exact = _closed_form(problem, t0, u0) if use_exact else None
     order = sorted(range(len(ends)), key=lambda k: -abs(ends[k] - t0))
-    states, runs, budget, method = {}, {}, _MAX_STEPS, None  # runs: (step, steps) -> state
+    states, runs, budget, method = {}, {} if runs is None else runs, _MAX_STEPS, None
     for position, k in enumerate(order):
         span = ends[k] - t0
         if span == 0 or exact is not None:
@@ -248,7 +249,7 @@ def reference_solve(problem, t0, t_end, u0, use_exact=True):
                     )
                 budget -= steps
                 # key (h, i) is i steps of h from t0, whichever end's run took them
-                record = {round(s / h) for s in later if 1 <= s / h <= steps}
+                record = {round(s / h) for s in later if 1 <= s / h <= steps} | {steps}
                 current, kept = corrected_run(problem, method, t0, ends[k], u0, steps, record)
                 runs.update(((h, i), state) for i, state in kept.items())
             if previous is not None:

@@ -18,8 +18,6 @@ bit-for-bit the same state the plain stepper produces; computing the defect
 never perturbs the propagated solution.
 """
 
-from __future__ import annotations
-
 from functools import partial
 from typing import NamedTuple
 
@@ -141,6 +139,8 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
     """
     if variant not in ("taylor", "hermite"):
         raise ValueError(f"variant must be 'taylor' or 'hermite', got {variant!r}")
+    if not np.isfinite(t0):  # A(t0) is sampled before the stages check their times
+        raise ValueError(f"the step's start t0 must be finite, got t0 = {t0!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # stage vectors and the defect are checked
         d = -0.5 * (problem.coefficients(t0) @ (problem.generators @ u))  # A(t0) u
         for bj, plan, bcheck in _stage_plans(scheme, problem, t0, tau, derivatives=True):

@@ -9,8 +9,6 @@ are numpy's, restricted to power-of-two lengths; they also transform each
 row of a 2-d stack, so a state and a tangent vector can share one call.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

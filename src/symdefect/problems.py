@@ -8,8 +8,6 @@ the cubic nonlinearity depends on |u|^2, which is not holomorphic, so v and
 its conjugate may both enter.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

@@ -5,8 +5,6 @@ the state unchanged. Autonomous steppers take (problem, tau, u); the
 nonautonomous ones additionally take the step's start time t0.
 """
 
-from __future__ import annotations
-
 import math
 import threading
 import weakref
@@ -179,8 +177,9 @@ def step_exp_midpoint(problem, t0, tau, u):
 def _stage_coefficients(scheme, problem, t0, tau, derivatives):
     # per stage the coefficients of B_j and Bcheck_j (or None) over the basis, summed on
     # Python floats: they round as numpy's elementwise operations do, at far less cost
-    if not math.isfinite(tau):
-        raise ValueError(f"step size must be finite, got {tau!r}")
+    if not math.isfinite(t0 + tau):  # t0, tau or their sum: math.cos(inf) is a bare domain error
+        raise ValueError("step size must be finite, and so must the step's start t0 and end; "
+                         f"got t0 = {t0!r}, tau = {tau!r}")
     times = [t0 + ck * tau for ck in scheme.nodes]
     coeffs = [problem.coefficients(t).tolist() for t in times]
     shifts = [ck - 0.5 for ck in scheme.nodes]

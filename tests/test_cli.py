@@ -24,9 +24,9 @@ from symdefect.cli import (
     run_global_study,
     run_local_study,
 )
-from symdefect.control import METHOD_NAMES, Method, StepRecord, make_method
+from symdefect.control import METHOD_NAMES, Method, StepRecord, make_method, reference_solve
 from symdefect.errors import ConvergenceFailure, StepFailure
-from symdefect.problems import PROBLEM_NAMES, RosenZener, ToySplit
+from symdefect.problems import PROBLEM_NAMES, CubicNLS, RosenZener, ToySplit
 
 from oracles import ScalarQuadratic, parse_csv
 
@@ -121,6 +121,90 @@ class TestStudies:
         rows = run_local_study(toy, method, [0.1, 0.05])
         assert all(row.failed for row in rows)
         assert all(math.isnan(row.err_norm) for row in rows)
+
+
+class TestGlobalStudySharesReference:
+    """A global study of the reference's own method reads each corrected level
+    the reference's step doubling ran from it, bit for bit; any other method,
+    or a level the doubling never ran, takes its own corrected run."""
+
+    @pytest.fixture
+    def counted_steps(self, monkeypatch):
+        steps = []
+        run = control.corrected_run
+
+        def counting(problem, method, t0, t_end, u0, steps_, *args):
+            steps.append(steps_)
+            return run(problem, method, t0, t_end, u0, steps_, *args)
+
+        monkeypatch.setattr(control, "corrected_run", counting)  # the reference's runs
+        monkeypatch.setattr(cli, "corrected_run", counting)  # the study's own
+        return steps
+
+    @staticmethod
+    def study(problem, method, ladder, t_end, counted_steps):
+        counted_steps.clear()
+        return rows_to_csv(run_global_study(problem, method, ladder, t_end)), sum(counted_steps)
+
+    @staticmethod
+    def unshared(method):
+        return Method(method.name, method.order, method.step, method.step_with_defect)
+
+    # CubicNLS(n=64)'s reference stops at 16 steps, so the ladder's 32 is run
+    # again; RosenZener(k=3)'s stops at 32, leaving 64
+    @pytest.mark.parametrize(
+        "problem, name, tau_max, levels, t_end",
+        [
+            (CubicNLS(n=64), "emb43aks", 6.25e-2, 5, 0.125),
+            (RosenZener(k=3), "magnus4", 0.5, 6, 1.0),
+        ],
+        ids=["nls-emb43aks", "rz-magnus4"],
+    )
+    def test_reference_method_reads_the_levels_it_ran(
+        self, problem, name, tau_max, levels, t_end, counted_steps
+    ):
+        method = make_method(name)
+        assert method is control._default_reference_method(problem)
+        ladder = dyadic_ladder(tau_max, levels)
+        reference_solve(problem, 0.0, t_end, problem.initial_state(), use_exact=False)
+        ran = set(counted_steps)
+        shared = [round(t_end / tau) for tau in ladder if round(t_end / tau) in ran]
+        assert 0 < len(shared) < levels
+        csv, steps = self.study(problem, method, ladder, t_end, counted_steps)
+        copy_csv, copy_steps = self.study(problem, self.unshared(method), ladder, t_end,
+                                          counted_steps)
+        assert csv == copy_csv
+        assert steps == copy_steps - sum(shared)
+
+    @pytest.mark.parametrize(
+        "problem, name, kwargs, tau_max, levels, t_end",
+        [
+            (CubicNLS(n=64), "strang", {"defect": "classical"}, 3.125e-2, 3, 0.125),
+            (CubicNLS(n=64), "strang", {}, 3.125e-2, 3, 0.125),
+            (RosenZener(k=3), "cf4", {"variant": "taylor"}, 0.5, 3, 1.0),
+            (RosenZener(k=3), "cf4", {}, 0.5, 3, 1.0),
+            (RosenZener(k=3), "expmid", {}, 0.5, 3, 1.0),
+            (RosenZener(k=3), "magnus4", {"variant": "taylor"}, 0.5, 3, 1.0),
+            (RosenZener(k=3), "magnus4", {}, 0.1, 3, 0.3),  # 3, 6 and 12 steps: never doubled
+        ],
+        ids=["strang-classical", "strang", "cf4-taylor", "cf4", "expmid", "magnus4-taylor",
+             "magnus4-not-dyadic"],
+    )
+    def test_no_other_study_shares(self, problem, name, kwargs, tau_max, levels, t_end,
+                                   counted_steps):
+        method = make_method(name, **kwargs)
+        ladder = dyadic_ladder(tau_max, levels)
+        copy = self.study(problem, self.unshared(method), ladder, t_end, counted_steps)
+        assert self.study(problem, method, ladder, t_end, counted_steps) == copy
+
+    def test_one_method_per_scheme_defect_and_used_variant(self):
+        assert make_method("magnus4", variant="hermite") is make_method("magnus4")
+        assert make_method("magnus4", "symmetrized", "hermite") is make_method("magnus4")
+        assert make_method("magnus4", variant="taylor") is not make_method("magnus4")
+        assert make_method("strang", "classical") is not make_method("strang")
+        assert make_method("strang", variant="taylor") is make_method("strang")  # variant unused
+        unshared = self.unshared(make_method("magnus4"))
+        assert unshared == make_method("magnus4") and unshared is not make_method("magnus4")
 
 
 class TestSerialization:

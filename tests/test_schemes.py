@@ -196,6 +196,23 @@ class TestExponentialSteppers:
         ):
             assert np.array_equal(stepper(), u)
 
+    @pytest.mark.parametrize("t0", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("evaluate", [step_cfm, cfm_defect], ids=["step_cfm", "cfm_defect"])
+    def test_non_finite_start_is_a_value_error_before_sampling(self, evaluate, t0, monkeypatch):
+        # unchecked, inf reaches math.cos as a bare "math domain error" and NaN
+        # an ExpmPlan as "matrix has non-finite entries"
+        prob = RosenZener(k=3)
+        for name in ("coefficients", "dcoefficients"):
+            monkeypatch.setattr(prob, name, lambda t, n=name: pytest.fail(f"{n}({t}) sampled"))
+        with pytest.raises(ValueError, match="start t0"):
+            evaluate(MAGNUS4, prob, t0, 0.125, prob.initial_state())
+
+    @pytest.mark.parametrize("evaluate", [step_cfm, cfm_defect], ids=["step_cfm", "cfm_defect"])
+    def test_overflowing_step_end_is_a_value_error(self, evaluate):
+        prob = RosenZener(k=3)
+        with pytest.raises(ValueError, match="start t0 and end"):
+            evaluate(CF4, prob, 1e308, 1e308, prob.initial_state())
+
     def test_cfm_single_stage_is_exp_midpoint(self):
         prob = RosenZener(k=4)
         u = prob.initial_state()
