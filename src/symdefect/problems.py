@@ -9,11 +9,12 @@ its conjugate may both enter.
 """
 
 import math
+import threading
 
 import numpy as np
 
 from .errors import StepFailure
-from .linalg import fft, ifft
+from .linalg import ExpmPlan, fft, ifft
 
 __all__ = [
     "CubicNLS",
@@ -152,8 +153,8 @@ class LinearFamily:
     ``basis`` stacks the generators and their brackets [G_p, G_q], p < q,
     formed once here, so a stage generator is one :meth:`combination`. Its
     support, the entries where any basis matrix is nonzero, is found once
-    too: a combination is written on the support only, and a matrix it
-    writes into must be zero off it."""
+    too: a combination is written on the support only, and :meth:`stage`
+    writes into slots that stay zero off it."""
 
     def __init__(self, generators):
         shapes = {np.shape(g) for g in generators}
@@ -173,27 +174,37 @@ class LinearFamily:
         self._support = np.flatnonzero(flat.any(axis=0))  # row-major flat indices
         self._values = flat.take(self._support, axis=1)  # (len(basis), support size)
         self._columns = self._support % n
+        self._slots = threading.local()  # each thread's stage slots, see stage
 
     def bracket(self, x, y):
         """Coefficients over the brackets of [sum_m x_m G_m, sum_m y_m G_m], a
         list from the float sequences x and y."""
         return [x[p] * y[q] - x[q] * y[p] for p, q in self._pairs]
 
-    def combination(self, coef, out=None):
-        """sum_b coef_b basis_b over the first len(coef) basis matrices, on the
-        support of out (zero off it) if given, else of a fresh zero matrix."""
-        if out is None:
-            out = np.zeros(self.basis.shape[1:], dtype=np.complex128)
+    def combination(self, coef):
+        """sum_b coef_b basis_b over the first len(coef) basis matrices, fresh."""
+        out = np.zeros(self.basis.shape[1:], dtype=np.complex128)
         np.put(out, self._support, coef @ self._values[: len(coef)])
         return out
 
-    def scale(self, m, factor, out):
-        """factor * m on the support of out, for m and out zero off it; returns
-        the 1-norm of out, bit for bit np.abs(out).sum(axis=0).max(): the
+    def stage(self, b, tau, c=None):
+        """(B_j, ExpmPlan of tau B_j, Bcheck_j or None) for the combinations B_j
+        of b and Bcheck_j of c, written on the support into n x n slots kept per
+        thread, zero from its first stage on and overwritten by its next. The
+        plan's 1-norm is bit for bit np.abs(tau B_j).sum(axis=0).max(): the
         column sums add their support entries in row order, as that sum does."""
-        product = np.multiply(m.take(self._support), factor)
-        np.put(out, self._support, product)
-        return float(np.bincount(self._columns, np.abs(product), minlength=len(out)).max())
+        slots = getattr(self._slots, "slots", None)
+        if slots is None:
+            slots = self._slots.slots = np.zeros((3, *self.basis.shape[1:]), complex)
+        bj, scaled, check = slots
+        values = b @ self._values[: len(b)]
+        np.put(bj, self._support, values)
+        values = np.multiply(values, tau)
+        np.put(scaled, self._support, values)
+        norm = float(np.bincount(self._columns, np.abs(values), minlength=len(bj)).max())
+        if c is not None:
+            np.put(check, self._support, c @ self._values[: len(c)])
+        return bj, ExpmPlan(scaled, norm), None if c is None else check
 
     def A(self, t):
         return self.combination(self.coefficients(t))

@@ -6,14 +6,11 @@ nonautonomous ones additionally take the step's start time t0.
 """
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StepFailure
-from .linalg import ExpmPlan
 
 __all__ = [
     "SplittingScheme",
@@ -204,33 +201,17 @@ def _stage_coefficients(scheme, problem, t0, tau, derivatives):
         yield np.array(head + [gj * tau * x for x in comm] if gj else head), check
 
 
-_STAGE_SLOTS = threading.local()  # each thread's stage slots by matrix shape, see _stage_plans
-
-
 def _stage_plans(scheme, problem, t0, tau, derivatives=False):
-    """Per stage (B_j, ExpmPlan of tau B_j, Bcheck_j) on a LinearFamily, each
-    matrix one ``problem.combination`` of coefficients sampled once per node:
+    """Per stage ``problem.stage``: (B_j, ExpmPlan of tau B_j, Bcheck_j) on a
+    LinearFamily, from coefficients sampled once per node, with
     B_j = sum_k a[j][k] A_k + g_j tau [A_1, A_2] and, with ``derivatives``,
     Bcheck_j = (d/dtau - (1/2) d/dt0) B_j
              = sum_k a[j][k] (c_k - 1/2) A'_k
                + g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
                                  + tau (c_2 - 1/2) [A_1, A'_2]),
-    or None where it vanishes identically (or without ``derivatives``). Each
-    is in one of three n x n slots this module keeps per thread and matrix
-    shape, made by the thread's first step at that shape and overwritten by the
-    next stage; ``problem.scale`` writes tau B_j and gives the plan its 1-norm.
-    The family writes on its basis's support only, so the slots are made anew,
-    zero, when a thread steps another family of that shape."""
-    shape = problem.generators.shape[1:]
-    slots, owner = vars(_STAGE_SLOTS).get(shape, (None, None))
-    if owner is None or owner() is not problem:
-        slots = np.zeros((3, *shape), complex)
-        vars(_STAGE_SLOTS)[shape] = slots, weakref.ref(problem)
-    bj_slot, generator_slot, check_slot = slots
+    or None where it vanishes identically (or without ``derivatives``)."""
     for b, c in _stage_coefficients(scheme, problem, t0, tau, derivatives):
-        bj = problem.combination(b, out=bj_slot)
-        plan = ExpmPlan(generator_slot, problem.scale(bj, tau, out=generator_slot))
-        yield bj, plan, c if c is None else problem.combination(c, out=check_slot)
+        yield problem.stage(b, tau, c)
 
 
 def step_cfm(scheme, problem, t0, tau, u):

@@ -364,14 +364,14 @@ def dense_combination(family, coef):
 
 def dense_norm_1(m):
     """The 1-norm as dense column sums of |m|: the bits ``ExpmPlan`` computes
-    and ``LinearFamily.scale`` sums over the support."""
+    and ``LinearFamily.stage`` sums over the support."""
     return float(np.abs(m).sum(axis=0).max())
 
 
 def stage_matrices(scheme, problem, t0, tau, derivatives=False):
     """Copies of the stage matrices the exponential steps run on: B_j, or
     the pairs (B_j, Bcheck_j) with ``derivatives``, as ``_stage_plans``
-    writes them into the family's workspace (not an independent oracle)."""
+    writes them into the family's stage slots (not an independent oracle)."""
     stages = [(bj.copy(), None if bcheck is None else bcheck.copy())
               for bj, _, bcheck in _stage_plans(scheme, problem, t0, tau, derivatives)]
     return stages if derivatives else [bj for bj, _ in stages]

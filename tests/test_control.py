@@ -16,6 +16,7 @@ from symdefect.control import (
     StepOutput,
     adaptive_integrate,
     estimate_and_correct,
+    estimator_scale,
     local_error_integral_oracle,
     make_method,
     method_needs,
@@ -531,6 +532,33 @@ class TestController:
         monkeypatch.setattr(control, "_MAX_STEPS", len(records))
         budgeted, _ = adaptive_integrate(toy, make_method("imr"), cfg, 0.0, 1.0, toy.initial_state())
         assert np.array_equal(budgeted, u)
+
+    def test_strang_effectivity_and_tolerance_proportionality(self):
+        # replays the accepted steps of adaptive Strang on ToySplit(), t = 0 -> 5,
+        # with each kind's estimate against the true local error from the closed
+        # form. Measured: effectivity min/median/max classical 0.941/0.991/0.998
+        # (tol 1e-6) and 0.9956/0.9996/0.9997 (1e-10), symmetrized 1.0000/1.0000/
+        # 1.0011 and 1.0000 throughout; final error 2.9e-6 and 7.5e-9, slope 0.647
+        toy = ToySplit()
+        u0 = toy.initial_state()
+        methods = [make_method("strang", "classical"), make_method("strang")]
+        tols, finals = (1e-6, 1e-10), []
+        for tol in tols:
+            u_end, records = adaptive_integrate(
+                toy, methods[1], AdaptiveConfig(tol=tol, tau_init=0.01), 0.0, 5.0, u0)
+            u, effectivity = u0, ([], [])
+            for record in (r for r in records if r.accepted):
+                for method, kept in zip(methods, effectivity):
+                    u_next, d = method.step_with_defect(toy, record.t, record.tau, u)
+                    error = u_next - toy.exact_solution(record.tau, u)
+                    kept.append(abs(estimator_scale(record.tau, method.order) * d[0]) / abs(error[0]))
+                u = u_next
+            assert np.array_equal(u, u_end)
+            classical, symmetrized = (np.abs(np.array(e) - 1.0).max() for e in effectivity)
+            assert symmetrized < classical <= 0.1
+            finals.append(abs(u_end - toy.exact_solution(5.0, u0))[0])
+        slope = math.log(finals[0] / finals[1]) / math.log(tols[0] / tols[1])
+        assert abs(slope - 2.0 / 3.0) <= 0.1
 
     def test_abort_when_floor_hit(self):
         prob = RosenZener(k=5)

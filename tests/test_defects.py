@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from symdefect import linalg
-from symdefect.control import make_method
+from symdefect.control import corrected_run, estimator_scale, make_method
 from symdefect.defects import (
     _gamma_action,
     _hermite_action,
@@ -615,8 +615,8 @@ class TestStageWorkspace:
     @pytest.mark.parametrize("variant", ["taylor", "hermite"])
     @pytest.mark.parametrize("name", ["expmid", "cf4", "magnus4"])
     def test_step_allocates_no_square_matrix(self, name, variant):
-        # after a warm-up step the stage matrices live in the family's
-        # workspace, so neither the step nor the step with its defect
+        # after a warm-up step the stage matrices live in the family's stage
+        # slots, so neither the step nor the step with its defect
         # allocates an n x n complex array (160 KB at n = 100)
         prob = RosenZener()
         method = make_method(name, variant=variant)
@@ -631,8 +631,28 @@ class TestStageWorkspace:
                 tracemalloc.stop()
             assert peak < prob.dim * prob.dim * 16
 
+    def test_alternating_families_of_one_size_allocate_no_square_matrix(self):
+        # each family keeps its own slots, so a thread that alternates cf4 steps
+        # between two families of one size makes no n x n array after each
+        # family's first step (slots keyed by size alone would be made anew,
+        # 480 KB, at every switch)
+        method = make_method("cf4")
+        families = [RosenZener(), RosenZener(omega=0.7, amplitude=1.5)]
+        states = [prob.initial_state() for prob in families]
+        for prob, u in zip(families, states):
+            method.step_with_defect(prob, 0.2, 0.1, u)
+        for _ in range(2):
+            for prob, u in zip(families, states):
+                tracemalloc.start()
+                try:
+                    method.step_with_defect(prob, 0.2, 0.1, u)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < prob.dim * prob.dim * 16
+
     def test_interleaved_methods_match_separate_runs(self):
-        # two methods stepping alternately on one family share its workspace;
+        # two methods stepping alternately on one family share its stage slots;
         # each gets bitwise the states and defects of a run on its own
         methods = [make_method("cf4", variant="hermite"), make_method("magnus4", variant="taylor")]
         tau, steps = 0.1, 4
@@ -656,10 +676,9 @@ class TestStageWorkspace:
             assert all(np.array_equal(a, b) for a, b in zip(got, alone))
 
     def test_interleaved_families_of_one_size_match_separate_runs(self):
-        # RosenZener(k=3) and a RandomFamily share n = 6, so steps on one thread
-        # that alternate between them share its stage slots; the random family
-        # writes every entry, Rosen-Zener its support only, so each family must
-        # find the slots zero off its support to get its own bits
+        # RosenZener(k=3) and a RandomFamily share n = 6; the random family writes
+        # every entry, Rosen-Zener its support only, so each family must keep
+        # slots of its own, zero off its support, to get its own bits
         method, tau, steps = make_method("cf4", variant="taylor"), 0.1, 3
 
         def families():
@@ -683,9 +702,9 @@ class TestStageWorkspace:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, alone))
 
     def test_threads_sharing_a_family_match_serial_runs(self):
-        # each thread keeps its own stage slots in schemes._STAGE_SLOTS, so two threads
-        # stepping one family at once get bitwise the states and defects of
-        # serial runs (with shared slots their stages overwrite each other)
+        # the family keeps stage slots per thread, so two threads stepping it
+        # at once get bitwise the states and defects of serial runs (with
+        # shared slots their stages overwrite each other)
         method, tau, steps = make_method("cf4"), 0.1, 150
         barrier = threading.Barrier(2)
 
@@ -749,3 +768,60 @@ class TestCorrectedScheme:
             corrected = u_next - (tau / 3.0) * d
             errs.append(np.linalg.norm(corrected - nls.exact_state(tau)))
         assert abs(fit_slope(taus, errs) - 5.0) <= 0.15
+
+
+class TestTheoremOnSeededDraws:
+    """The estimate tau/(p+1) d deviates from the true local error by
+    O(tau^(p+3)) with the symmetrized defect and O(tau^(p+2)) with the
+    classical one, on seeded random instances rather than the published ones.
+    Each draw is judged by its finest ladder pair whose deviations both lie
+    above a floor of 1e-13 relative to |u|: below it roundoff bends the ratio
+    (emb43aks reaches 1e-16 on ToySplit by tau = 0.025)."""
+
+    FLOOR, DRAWS = 1e-13, 8
+
+    def finest_order(self, method, prob, t0, u, exact, taus):
+        deviations = []
+        for tau in taus:
+            u_next, d = method.step_with_defect(prob, t0, tau, u)
+            deviation = estimator_scale(tau, method.order) * d - (u_next - exact(tau))
+            deviations.append(np.linalg.norm(deviation) / np.linalg.norm(u))
+        orders = [np.log2(a / b) for a, b in zip(deviations, deviations[1:]) if b > self.FLOOR]
+        return orders[-1] if orders else None
+
+    def check(self, found):
+        # found: (draw, method, kind, p, order); the classical kind one order below
+        wrong = [(draw, name, kind, order) for draw, name, kind, p, order in found
+                 if order is None or abs(order - (p + (3 if kind == "symmetrized" else 2))) > 0.5]
+        assert not wrong
+
+    def test_random_families(self):
+        # n = 3-6, random state and t0; the reference is 64 corrected magnus4 steps
+        reference, taus, found = make_method("magnus4"), [0.2 / 2**i for i in range(4)], []
+        for draw in range(self.DRAWS):
+            rng = np.random.default_rng(300 + draw)
+            n = int(rng.integers(3, 7))
+            prob, u, t0 = RandomFamily(rng, n), random_state(rng, n), float(rng.uniform(-1.0, 1.0))
+            exact = {tau: corrected_run(prob, reference, t0, t0 + tau, u, 64)[0] for tau in taus}
+            for name, variant in [("expmid", "hermite"), *itertools.product(("cf4", "magnus4"), ("taylor", "hermite"))]:
+                method = make_method(name, variant=variant)
+                order = self.finest_order(method, prob, t0, u, exact.get, taus)
+                found.append((draw, f"{name}/{variant}", "symmetrized", method.order, order))
+        self.check(found)
+
+    def test_toy_splits(self):
+        # lam in [-2, -0.2], mu in [0.1, 1], u0 scaled by [0.5, 1.5]; closed-form
+        # reference; the 4th-order emb43aks starts at tau = 0.8 to stay above the floor
+        cases = [("strang", "classical"), ("strang", "symmetrized"), ("emb43aks", "symmetrized"),
+                 ("imr", "classical"), ("imr", "symmetrized")]
+        found = []
+        for draw in range(self.DRAWS):
+            rng = np.random.default_rng(400 + draw)
+            prob = ToySplit(rng.uniform(-2.0, -0.2), rng.uniform(0.1, 1.0))
+            u = prob.initial_state() * rng.uniform(0.5, 1.5)
+            for name, kind in cases:
+                method = make_method(name, kind)
+                taus = [(0.8 if method.order == 4 else 0.2) / 2**i for i in range(5)]
+                order = self.finest_order(method, prob, 0.0, u, lambda tau: prob.exact_solution(tau, u), taus)
+                found.append((draw, name, kind, method.order, order))
+        self.check(found)

@@ -173,8 +173,8 @@ class TestExpmAction:
 
 class TestExpmPlan:
     def test_norm_is_the_1_norm_bitwise(self):
-        # the plan's own column sums of |m|, and the norm a family passes in
-        # from its support (here m's nonzero entries), give the bits of
+        # the plan's own column sums of |m|, and the norm a family's stage passes
+        # in from its support (here m's nonzero entries), give the bits of
         # np.linalg.norm(m, 1); a non-finite norm passed in is rejected
         rng = np.random.default_rng(16)
         for n in (1, 7, 40):
@@ -182,10 +182,9 @@ class TestExpmPlan:
             m[rng.random((n, n)) < 0.7] = 0.0
             expected = np.linalg.norm(m, 1)
             assert ExpmPlan(m).norm == expected
-            scaled = np.zeros_like(m)
-            norm = ConstantLinear(m).scale(m, 1.0, out=scaled)
-            assert ExpmPlan(scaled, norm).norm == expected
-            assert np.array_equal(scaled, m)
+            _, plan, _ = ConstantLinear(m).stage(np.ones(1), 1.0)
+            assert plan.norm == expected
+            assert np.array_equal(plan.matrix, m)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 ExpmPlan(m, bad)

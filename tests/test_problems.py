@@ -390,31 +390,33 @@ class TestLinearFamily:
 
     @pytest.mark.parametrize("family", _families(), ids=FAMILY_IDS)
     def test_combination_is_the_dense_product_bitwise(self, family):
-        # fresh and into one reused matrix, which stays zero off the support
         rng = np.random.default_rng(41)
-        out = np.zeros(family.basis.shape[1:], dtype=np.complex128)
         for coef in self.coefficient_vectors(family, rng):
             expected = dense_combination(family, coef).tobytes()
             assert family.combination(coef).tobytes() == expected
-            assert family.combination(coef, out=out) is out
-            assert out.tobytes() == expected
         assert family.A(0.3).tobytes() == dense_combination(family, family.coefficients(0.3)).tobytes()
 
     @pytest.mark.parametrize("family", _families(), ids=FAMILY_IDS)
     def test_scale_is_the_dense_product_and_its_1_norm(self, family):
-        # bitwise on the support; off it a negative factor leaves +0 where the
-        # dense product has -0, so the matrices are compared as numbers there
+        # stage writes B_j, tau B_j and Bcheck_j into the same slots each time,
+        # so they stay zero off the support: B_j and Bcheck_j bitwise the dense
+        # products, tau B_j bitwise on the support; off it a negative tau leaves
+        # +0 where the dense product has -0, so tau B_j is compared as numbers there
         rng = np.random.default_rng(42)
-        out = np.zeros(family.basis.shape[1:], dtype=np.complex128)
-        for coef in self.coefficient_vectors(family, rng):
-            m = family.combination(coef)
-            for factor in (0.25, -0.25, 1.0 / 64.0, 0.0, -3.0):
-                norm = family.scale(m, factor, out=out)
-                expected = np.multiply(dense_combination(family, coef), factor)
-                assert np.array_equal(out, expected)
+        vectors = self.coefficient_vectors(family, rng)
+        for b, c in zip(vectors, [None] + vectors[:0:-1]):  # the first stage without Bcheck_j
+            for tau in (0.25, -0.25, 1.0 / 64.0, 0.0, -3.0):
+                bj, plan, bcheck = family.stage(b, tau, c)
+                assert bj.tobytes() == dense_combination(family, b).tobytes()
+                if c is None:
+                    assert bcheck is None
+                else:
+                    assert bcheck.tobytes() == dense_combination(family, c).tobytes()
+                expected = np.multiply(dense_combination(family, b), tau)
+                assert np.array_equal(plan.matrix, expected)
                 nonzero = expected != 0
-                assert out[nonzero].tobytes() == expected[nonzero].tobytes()
-                assert np.float64(norm).tobytes() == np.float64(dense_norm_1(expected)).tobytes()
+                assert plan.matrix[nonzero].tobytes() == expected[nonzero].tobytes()
+                assert np.float64(plan.norm).tobytes() == np.float64(dense_norm_1(expected)).tobytes()
 
     def test_rosen_zener_support(self):
         # two generators and their bracket touch 492 of the 10,000 entries
