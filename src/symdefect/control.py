@@ -85,8 +85,9 @@ def estimate_and_correct(step, order):
 class Method:
     """A stepper with a matching defect evaluator and declared order.
 
-    Both callables take (problem, t0, tau, u); autonomous steppers ignore
-    t0. ``step_with_defect`` returns a :class:`DefectOutput`.
+    Both callables take (problem, t0, tau, u), autonomous steppers ignoring t0;
+    ``step(..., steps=1)`` runs that many steps of tau as one composition, the
+    k-th from t0 + k tau. ``step_with_defect`` returns a :class:`DefectOutput`.
     """
 
     name: str
@@ -96,28 +97,28 @@ class Method:
 
 
 # A family's builder takes (tableau, defect, variant) and returns the pair
-# (step, step_with_defect), both taking (problem, t0, tau, u). The pair looks
-# the package functions up when called, so wrappers installed on the module
-# attributes see every call.
+# (step, step_with_defect), both taking (problem, t0, tau, u), step also steps=1.
+# The pair looks the package functions up when called, so wrappers installed on
+# the module attributes see every call.
 
 
 def _implicit_midpoint(tableau, defect, variant):
     return (
-        lambda p, t0, tau, u: step_implicit_midpoint(p, tau, u),
+        lambda p, t0, tau, u, steps=1: step_implicit_midpoint(p, tau, u, steps),
         lambda p, t0, tau, u: imr_defect(p, tau, u, kind=defect),
     )
 
 
 def _splitting(scheme, defect, variant):
     return (
-        lambda p, t0, tau, u: step_splitting(scheme, p, tau, u),
+        lambda p, t0, tau, u, steps=1: step_splitting(scheme, p, tau, u, steps),
         lambda p, t0, tau, u: splitting_defect_semilinear(scheme, p, tau, u, kind=defect),
     )
 
 
 def _cfm(scheme, defect, variant):
     return (
-        lambda p, t0, tau, u: step_cfm(scheme, p, t0, tau, u),
+        lambda p, t0, tau, u, steps=1: step_cfm(scheme, p, t0, tau, u, steps),
         lambda p, t0, tau, u: cfm_defect(scheme, p, t0, tau, u, variant=variant),
     )
 

@@ -103,6 +103,8 @@ def splitting_defect_semilinear(scheme, problem, tau, u, kind="symmetrized"):
     _check_kind(kind)
     if scheme.b[-1] != 0.0:
         raise ValueError(f"scheme {scheme.name!r} must end with a pure A-stage (b_J = 0)")
+    if not np.isfinite(tau):
+        raise ValueError(f"step size must be finite, got tau = {tau!r}")
     share = 0.5 if kind == "symmetrized" else 0.0
     u = np.asarray(u, dtype=np.complex128)
     last = len(scheme.a) - 1

@@ -62,7 +62,7 @@ class CubicNLS:
     counter-propagating solitary waves of amplitude 2 (`carriers`, `centers`).
     """
 
-    _PHASE_MEMO = 8  # phases kept: emb43aks's 3 sub-steps at two step sizes
+    _PHASE_MEMO = 8  # phases kept: a plain emb43aks run's 4 sub-steps (a_1..a_3, 2 a_1) at two taus
 
     def __init__(self, n=512, initial="soliton", carriers=(1.0, -3.0), centers=(5.0, -5.0)):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n <= 0 or n & (n - 1):

@@ -1,8 +1,8 @@
 """Self-adjoint one-step methods and their coefficient tableaus.
 
-All steppers are pure functions of their arguments. Step size zero returns
-the state unchanged. Autonomous steppers take (problem, tau, u); the
-nonautonomous ones additionally take the step's start time t0.
+All steppers are pure functions of their arguments, run ``steps`` steps of tau
+and return the state unchanged for tau = 0. Autonomous ones take (problem, tau,
+u, steps=1), the others also t0; a tau that is not finite is a ValueError.
 """
 
 import math
@@ -132,38 +132,49 @@ def _norm(v):
 _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-13, 25
 
 
-def step_implicit_midpoint(problem, tau, u):
-    """Implicit midpoint rule, second order, self-adjoint: Newton solve of
-    w = u + tau F((u + w)/2); returns w.
+def step_implicit_midpoint(problem, tau, u, steps=1):
+    """Implicit midpoint rule, second order, self-adjoint: per step a Newton
+    solve of w = u + tau F((u + w)/2), whose w starts the next step.
 
     Initial guess is the explicit Euler predictor u + tau F(u); the exact
     Jacobian I - (tau/2) F' is applied through problem.df. A state or
     Newton residual that is not finite fails the step.
     """
+    if not math.isfinite(tau):
+        raise ValueError(f"step size must be finite, got tau = {tau!r}")
     u = np.asarray(u, dtype=np.complex128)
     if tau == 0.0:
         return u.copy()
-    scale = max(1.0, _norm(u))
-    w = u + tau * problem.f(u)
-    for _ in range(_NEWTON_MAX_ITER):
-        mid = 0.5 * (u + w)
-        residual = w - u - tau * problem.f(mid)
-        if _norm(residual) <= _NEWTON_TOL * scale:
-            return w
-        w = w - solve_linearized(problem.df, mid, tau, residual)
-    raise StepFailure(f"implicit midpoint Newton iteration stalled after {_NEWTON_MAX_ITER} steps")
-
-
-def step_splitting(scheme, problem, tau, u):
-    """One step of a splitting composition, A-flow first."""
-    u = np.asarray(u, dtype=np.complex128)
-    if tau == 0.0:
-        return u.copy()
-    for aj, bj in zip(scheme.a, scheme.b):
-        u = problem.flow_A(aj * tau, u)
-        if bj:  # the trailing b_J = 0 of a self-adjoint tableau is no flow
-            u = problem.flow_B(bj * tau, u)
+    for _ in range(steps):
+        scale, w = max(1.0, _norm(u)), u + tau * problem.f(u)
+        for _ in range(_NEWTON_MAX_ITER):
+            mid = 0.5 * (u + w)
+            residual = w - u - tau * problem.f(mid)
+            if _norm(residual) <= _NEWTON_TOL * scale:
+                break
+            w = w - solve_linearized(problem.df, mid, tau, residual)
+        else:
+            raise StepFailure(
+                f"implicit midpoint Newton iteration stalled after {_NEWTON_MAX_ITER} steps")
+        u = w
     return u
+
+
+def step_splitting(scheme, problem, tau, u, steps=1):
+    """``steps`` steps of a splitting composition, A-flow first. An A-flow with no B-flow
+    after it (b_J = 0) joins the next step's first, so ``problem.flow_A`` must compose exactly."""
+    if not math.isfinite(tau):
+        raise ValueError(f"step size must be finite, got tau = {tau!r}")
+    u = np.asarray(u, dtype=np.complex128)
+    if tau == 0.0:
+        return u.copy()
+    pending = 0.0  # the A-flow so far: a_J + a_1 where two steps meet
+    for aj, bj in zip(scheme.a * steps, scheme.b * steps):
+        pending += aj
+        if bj:
+            u = problem.flow_B(bj * tau, problem.flow_A(pending * tau, u))
+            pending = 0.0
+    return problem.flow_A(pending * tau, u) if pending else u
 
 
 def step_exp_midpoint(problem, t0, tau, u):
@@ -214,13 +225,14 @@ def _stage_plans(scheme, problem, t0, tau, derivatives=False):
         yield problem.stage(b, tau, c)
 
 
-def step_cfm(scheme, problem, t0, tau, u):
-    """One step of an exponential scheme given by its tableau."""
+def step_cfm(scheme, problem, t0, tau, u, steps=1):
+    """``steps`` steps of an exponential scheme's tableau, the k-th from t0 + k tau."""
     u = np.asarray(u, dtype=np.complex128)
     if tau == 0.0:
         return u.copy()
-    for _, plan, _ in _stage_plans(scheme, problem, t0, tau):
-        u = plan.apply(u)
+    for k in range(steps):
+        for _, plan, _ in _stage_plans(scheme, problem, t0 + k * tau, tau):
+            u = plan.apply(u)
     return u
 
 

@@ -60,6 +60,22 @@ class TestEstimateAndCorrect:
             estimate_and_correct(StepOutput(0.1, np.ones(1, complex)), 2)
 
 
+# every (scheme, defect, variant) the CLI allows, with one problem per family
+# picked by the interface it needs (both shipped splitting problems)
+_CLI_METHODS = [
+    (name, defect, variant)
+    for name in METHOD_NAMES
+    for defect in ("classical", "symmetrized")
+    for variant in ("taylor", "hermite")
+    if defect == "symmetrized" or name in ("imr", "strang")
+]
+_FAMILY_PROBLEMS = {
+    "f": [ToySplit()],
+    "flow_B": [CubicNLS(n=64), ToySplit()],
+    "coefficients": [RosenZener(k=5)],
+}
+
+
 class TestMakeMethod:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -88,16 +104,7 @@ class TestMakeMethod:
         with pytest.raises(ValueError):
             make_method(name, variant="x")
 
-    @pytest.mark.parametrize(
-        "name,defect,variant",
-        [
-            (name, defect, variant)
-            for name in METHOD_NAMES
-            for defect in ("classical", "symmetrized")
-            for variant in ("taylor", "hermite")
-            if defect == "symmetrized" or name in ("imr", "strang")
-        ],
-    )
+    @pytest.mark.parametrize("name,defect,variant", _CLI_METHODS)
     def test_step_with_defect_keeps_the_plain_step(self, name, defect, variant):
         # one problem per family, picked by the interface the family needs
         problem = {
@@ -109,6 +116,64 @@ class TestMakeMethod:
         u0 = problem.initial_state()
         u_next, _ = method.step_with_defect(problem, 0.1, 0.05, u0)
         assert np.array_equal(u_next, method.step(problem, 0.1, 0.05, u0))
+
+
+class TestMultiStepRun:
+    """``step(..., steps=N)`` against N single steps, the k-th from t0 + k tau:
+    the exponential and implicit midpoint steppers repeat their step, bit for
+    bit; a splitting joins each step's last A-flow with the next step's first,
+    which moves the state by roundoff only."""
+
+    @pytest.mark.parametrize("name, defect, variant", _CLI_METHODS)
+    def test_against_single_steps(self, name, defect, variant):
+        method = make_method(name, defect=defect, variant=variant)
+        t0, tau, steps = 0.1, 0.05, 8
+        for problem in _FAMILY_PROBLEMS[method_needs(name)]:
+            u0 = problem.initial_state()
+            assert np.array_equal(method.step(problem, t0, tau, u0, 1), method.step(problem, t0, tau, u0))
+            singles = u0
+            for k in range(steps):
+                singles = method.step(problem, t0 + k * tau, tau, singles)
+            run = method.step(problem, t0, tau, u0, steps)
+            if name in ("strang", "emb43aks"):
+                assert np.linalg.norm(run - singles) <= 1e-13 * np.linalg.norm(singles)
+            else:
+                assert np.array_equal(run, singles)
+
+    def test_global_study_runs_the_plain_half_as_one_call(self, monkeypatch):
+        # the strang study on CubicNLS(n=64): one plain call per level, with all its steps
+        from symdefect import cli
+
+        calls, step = [], control.step_splitting
+        monkeypatch.setattr(control, "step_splitting",
+                            lambda *args: calls.append(args[-1]) or step(*args))
+        problem = CubicNLS(n=64)
+        cli.run_global_study(problem, make_method("strang"), [0.0625, 0.03125], 0.125)
+        assert calls == [2, 4]
+
+
+class TestNonFiniteStepSize:
+    """A step size that is not finite is a ValueError on every family, through the
+    step, a multi-step run and the step with its defect, before any arithmetic
+    (the suite turns numpy's RuntimeWarnings into errors)."""
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name, defect, variant", _CLI_METHODS)
+    def test_is_a_value_error(self, name, defect, variant, tau):
+        method = make_method(name, defect=defect, variant=variant)
+        for problem in _FAMILY_PROBLEMS[method_needs(name)]:
+            u0 = problem.initial_state()
+            calls = [
+                lambda p: method.step(p, 0.1, tau, u0),
+                lambda p: method.step(p, 0.1, tau, u0, 3),
+                lambda p: method.step_with_defect(p, 0.1, tau, u0),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match="step size must be finite"):
+                    call(problem)
+                if method_needs(name) != "coefficients":  # the problem is never touched
+                    with pytest.raises(ValueError, match="step size must be finite"):
+                        call(object())
 
 
 class TestStateNorm:
@@ -559,6 +624,30 @@ class TestController:
             finals.append(abs(u_end - toy.exact_solution(5.0, u0))[0])
         slope = math.log(finals[0] / finals[1]) / math.log(tols[0] / tols[1])
         assert abs(slope - 2.0 / 3.0) <= 0.1
+
+    def test_emb43aks_effectivity_on_the_two_soliton(self):
+        # criterion 9's run (emb43aks, tol 1e-10) stopped at t = 2.6, past the
+        # crossing's smallest steps: every 64th accepted step (21 of 1,343) against
+        # the true local error from a reference solve started at that step.
+        # Measured: effectivity 0.99971-0.99974, 1 - effectivity being the
+        # O(tau^2) relative deviation of the symmetrized estimate at these steps
+        problem = CubicNLS(initial="two-soliton")
+        method = make_method("emb43aks")
+        config = AdaptiveConfig(tol=1e-10, tau_init=1e-2, tau_min=1e-8, tau_max=0.25)
+        u_end, records = adaptive_integrate(problem, method, config, 0.0, 2.6, problem.initial_state())
+        accepted = [r for r in records if r.accepted]
+        u, taus, effectivity = problem.initial_state(), [], []
+        for i, record in enumerate(accepted):
+            if i % 64 == 0:
+                u_next, d = method.step_with_defect(problem, record.t, record.tau, u)
+                reference = reference_solve(problem, record.t, record.t + record.tau, u, use_exact=False)
+                estimate = estimator_scale(record.tau, method.order) * d
+                taus.append(record.tau)
+                effectivity.append(state_norm(problem, estimate) / state_norm(problem, u_next - reference))
+            u = method.step(problem, record.t, record.tau, u)
+        assert np.array_equal(u, u_end)
+        assert len(taus) == 21 and min(taus) < 0.25 * max(taus)  # the samples reach into the dip
+        assert 0.9996 <= min(effectivity) and max(effectivity) <= 0.9998
 
     def test_abort_when_floor_hit(self):
         prob = RosenZener(k=5)

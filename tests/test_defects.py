@@ -282,6 +282,17 @@ class TestGenericSplittingDefect:
         assert transform_calls(lambda: method.step(nls, 0.0, 0.03, u)) == 10
         assert transform_calls(lambda: method.step_with_defect(nls, 0.0, 0.03, u)) == 10
 
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    @pytest.mark.parametrize("name, a_flows", [("strang", 1), ("emb43aks", 4)])
+    def test_joined_run_fft_budget(self, name, a_flows, steps):
+        # a run of N steps joins each step's last A-flow with the next step's first:
+        # a_flows * N + 1 A-flows (2N for Strang and 5N for emb43aks unjoined), one
+        # fft and one ifft each
+        nls = CubicNLS(n=64)
+        u = nls.initial_state()
+        run = lambda: make_method(name).step(nls, 0.0, 0.03, u, steps)
+        assert transform_calls(run) == 2 * (a_flows * steps + 1)
+
     @pytest.mark.parametrize("scheme", [STRANG, EMB43AKS], ids=["strang", "emb43aks"])
     def test_at_most_one_stack_per_step(self, monkeypatch, nls, scheme):
         # the (d, u) stack is built once; every stage returns the next one

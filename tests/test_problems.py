@@ -16,7 +16,7 @@ from symdefect.problems import (
     make_problem,
     soliton_value,
 )
-from symdefect.schemes import EMB43AKS
+from symdefect.schemes import EMB43AKS, step_splitting
 
 from oracles import (
     ConstantLinear,
@@ -199,6 +199,12 @@ class TestPhaseMemo:
             for a in EMB43AKS.a:
                 nls.flow_A(a * tau, u)
         assert len(nls._phases) == 6
+        # and a joined run's 4 (a_1 tau, a_2 tau, a_3 tau and 2 a_1 tau) at two step
+        # sizes, 0.03 so that no 2 a_1 tau is the other's a_1 tau
+        nls._phases.clear()
+        for tau in (0.1, 0.03):
+            step_splitting(EMB43AKS, nls, tau, u, 3)
+        assert len(nls._phases) == 8 == CubicNLS._PHASE_MEMO
 
     def test_concurrent_readers_agree_with_a_fresh_problem(self):
         # more sub-steps than the memo holds, so the threads clear it under
@@ -460,9 +466,10 @@ class TestToySplit:
     def test_subflow_semigroup(self):
         toy = ToySplit()
         u = np.array([0.9 + 0j])
-        direct = toy.flow_B(0.5, u)
-        chained = toy.flow_B(0.2, toy.flow_B(0.3, u))
-        assert abs(direct[0] - chained[0]) <= 1e-14
+        for flow in (toy.flow_A, toy.flow_B):  # a joined splitting run needs the A-flow's
+            direct = flow(0.5, u)
+            chained = flow(0.2, flow(0.3, u))
+            assert abs(direct[0] - chained[0]) <= 1e-14
 
     def test_zero_time_flows_are_identity(self):
         toy = ToySplit()
