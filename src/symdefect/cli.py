@@ -176,10 +176,18 @@ def rows_to_csv(rows):
     if not rows:
         return ""
     names = [f.name for f in fields(rows[0])]
-    lines = [",".join(names)]
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, name)) for name in names))
+    lines = [",".join(names)] + [",".join(_fmt(getattr(row, n)) for n in names) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _cell(name, value):
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float) and math.isnan(value):
+        return "--"
+    if "order" in name:
+        return f"{value:.2f}"
+    return f"{value:.4e}" if isinstance(value, float) else str(value)
 
 
 def rows_to_table(rows):
@@ -187,22 +195,7 @@ def rows_to_table(rows):
     if not rows:
         return "(no rows)\n"
     names = [f.name for f in fields(rows[0])]
-    cells = [names]
-    for row in rows:
-        rendered = []
-        for name in names:
-            value = getattr(row, name)
-            if isinstance(value, bool):
-                rendered.append("yes" if value else "no")
-            elif isinstance(value, float) and math.isnan(value):
-                rendered.append("--")
-            elif "order" in name:
-                rendered.append(f"{value:.2f}")
-            elif isinstance(value, float):
-                rendered.append(f"{value:.4e}")
-            else:
-                rendered.append(str(value))
-        cells.append(rendered)
+    cells = [names] + [[_cell(n, getattr(row, n)) for n in names] for row in rows]
     widths = [max(len(line[i]) for line in cells) for i in range(len(names))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(line, widths)) for line in cells]
     return "\n".join(lines) + "\n"

@@ -27,6 +27,7 @@ from .errors import StepFailure
 from .schemes import (
     STRANG,
     _stage_plans,
+    _checked_state,
     solve_linearized,
     step_implicit_midpoint,
 )
@@ -103,10 +104,8 @@ def splitting_defect_semilinear(scheme, problem, tau, u, kind="symmetrized"):
     _check_kind(kind)
     if scheme.b[-1] != 0.0:
         raise ValueError(f"scheme {scheme.name!r} must end with a pure A-stage (b_J = 0)")
-    if not np.isfinite(tau):
-        raise ValueError(f"step size must be finite, got tau = {tau!r}")
+    u = _checked_state(tau, u)
     share = 0.5 if kind == "symmetrized" else 0.0
-    u = np.asarray(u, dtype=np.complex128)
     last = len(scheme.a) - 1
     with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
         du = np.array((-share * problem.b(u), u))

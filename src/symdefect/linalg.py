@@ -5,13 +5,15 @@ pure. ``ExpmPlan(m).apply(v)`` computes the action of the matrix exponential
 on a vector or an (n, k) block without forming it: s scaling steps of d Taylor
 terms, all summed, d and s chosen once per matrix for any number of vectors;
 ``expm`` forms the matrix by scaling and squaring the same series. The FFTs
-are numpy's, restricted to power-of-two lengths; they also transform each
-row of a 2-d stack, so a state and a tangent vector can share one call.
+are np.fft's own kernels, restricted to power-of-two lengths; they also transform
+each row of a 2-d stack, so a state and a tangent vector can share one call.
 """
 
 import math
 
 import numpy as np
+# np.fft.fft/ifft's own kernels (numpy >= 2.0): their wrapper costs as much as a (2, 512) FFT
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import StepFailure
 
@@ -135,10 +137,10 @@ def _check_fft_input(v):
 def fft(v):
     """Unnormalized forward DFT of a power-of-two length vector, or of each
     row of a 2-d stack."""
-    return np.fft.fft(_check_fft_input(v))
+    return _pocketfft.fft(a := _check_fft_input(v), 1.0, out=np.empty_like(a))
 
 
 def ifft(v):
     """Inverse DFT carrying the 1/n factor, so ifft(fft(v)) == v; row-wise
     on a 2-d stack."""
-    return np.fft.ifft(_check_fft_input(v))
+    return _pocketfft.ifft(a := _check_fft_input(v), 1.0 / a.shape[-1], out=np.empty_like(a))

@@ -2,7 +2,8 @@
 
 All steppers are pure functions of their arguments, run ``steps`` steps of tau
 and return the state unchanged for tau = 0. Autonomous ones take (problem, tau,
-u, steps=1), the others also t0; a tau that is not finite is a ValueError.
+u, steps=1), the others also t0; a tau that is not finite, or a ``steps``
+that is not a positive integer, is a ValueError.
 """
 
 import math
@@ -121,6 +122,15 @@ def solve_linearized(df, base, tau, rhs):
     return sol[:n] + 1j * sol[n:]
 
 
+def _checked_state(tau, u, steps=1):
+    """u as complex128, once tau is finite and ``steps`` a positive integer (else a ValueError)."""
+    if not math.isfinite(tau):
+        raise ValueError(f"step size must be finite, got tau = {tau!r}")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    return np.asarray(u, dtype=np.complex128)
+
+
 def _norm(v):
     # the 2-norm without overflow (numpy squares the entries); a non-finite v fails
     peak = float(np.abs(v).max(initial=0.0))
@@ -140,9 +150,7 @@ def step_implicit_midpoint(problem, tau, u, steps=1):
     Jacobian I - (tau/2) F' is applied through problem.df. A state or
     Newton residual that is not finite fails the step.
     """
-    if not math.isfinite(tau):
-        raise ValueError(f"step size must be finite, got tau = {tau!r}")
-    u = np.asarray(u, dtype=np.complex128)
+    u = _checked_state(tau, u, steps)
     if tau == 0.0:
         return u.copy()
     for _ in range(steps):
@@ -163,9 +171,7 @@ def step_implicit_midpoint(problem, tau, u, steps=1):
 def step_splitting(scheme, problem, tau, u, steps=1):
     """``steps`` steps of a splitting composition, A-flow first. An A-flow with no B-flow
     after it (b_J = 0) joins the next step's first, so ``problem.flow_A`` must compose exactly."""
-    if not math.isfinite(tau):
-        raise ValueError(f"step size must be finite, got tau = {tau!r}")
-    u = np.asarray(u, dtype=np.complex128)
+    u = _checked_state(tau, u, steps)
     if tau == 0.0:
         return u.copy()
     pending = 0.0  # the A-flow so far: a_J + a_1 where two steps meet
@@ -227,7 +233,7 @@ def _stage_plans(scheme, problem, t0, tau, derivatives=False):
 
 def step_cfm(scheme, problem, t0, tau, u, steps=1):
     """``steps`` steps of an exponential scheme's tableau, the k-th from t0 + k tau."""
-    u = np.asarray(u, dtype=np.complex128)
+    u = _checked_state(tau, u, steps)
     if tau == 0.0:
         return u.copy()
     for k in range(steps):

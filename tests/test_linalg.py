@@ -380,9 +380,9 @@ class TestFFT:
         assert abs(lhs - rhs) <= 1e-10 * rhs
 
     def test_non_power_of_two_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length must be a power of two, got 6$"):
             fft(np.ones(6))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length must be a power of two, got 12$"):
             ifft(np.ones(12))
 
     @pytest.mark.parametrize("n", [1, 8, 512])
@@ -397,12 +397,33 @@ class TestFFT:
 
     def test_stack_guards(self):
         for transform in (fft, ifft):
-            with pytest.raises(ValueError):
-                transform(np.ones((2, 6)))
-            with pytest.raises(ValueError):
+            for shape, n in (((2, 6), 6), ((3, 12), 12), ((2, 0), 0)):
+                with pytest.raises(ValueError, match=f"length must be a power of two, got {n}$"):
+                    transform(np.ones(shape))
+            with pytest.raises(ValueError, match=r"stack of rows, got shape \(2, 2, 4\)"):
                 transform(np.ones((2, 2, 4)))
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"stack of rows, got shape \(\)"):
                 transform(np.complex128(1.0))
+
+    @pytest.mark.parametrize("n", [2**k for k in range(11)])
+    def test_bitwise_numpy_fft(self, n):
+        # fft/ifft call the pocketfft gufuncs behind np.fft.fft/ifft directly: a numpy
+        # release that changes those private kernels fails here, not in the digests
+        rng = np.random.default_rng(300 + n)
+        for rows in ((), (2,), (3,)):
+            v = rng.normal(size=(*rows, 2 * n)) + 1j * rng.normal(size=(*rows, 2 * n))
+            cases = {
+                "contiguous": np.ascontiguousarray(v[..., :n]),
+                "strided": v[..., ::2],
+                "reversed": v[..., ::-1][..., :n],
+                "fortran": np.asfortranarray(v[..., :n]),
+                "real": np.ascontiguousarray(v[..., :n].real),
+            }
+            for label, case in cases.items():
+                for ours, numpys in ((fft, np.fft.fft), (ifft, np.fft.ifft)):
+                    got, expected = ours(case), numpys(case)
+                    assert got.dtype == expected.dtype and got.shape == expected.shape, label
+                    assert got.tobytes() == expected.tobytes(), (label, rows, ours.__name__)
 
 
 def test_runtime_needs_numpy_only():
