@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .defects import _check_kind, cfm_defect, imr_defect, splitting_defect_semilinear
+from .defects import _share, cfm_defect, imr_defect, splitting_defect_semilinear
 from .errors import ConvergenceFailure, StepFailure
 from .schemes import (
     CF4,
@@ -171,18 +171,16 @@ def _default_reference_method(problem):
     raise ValueError(f"a problem needs one of {sorted({row[0] for row in _METHODS.values()})}")
 
 
-def corrected_run(problem, method, t0, t_end, u0, steps, record=()):
-    """Fixed-step integration propagating the corrected state each step.
-    Returns the final state and {i: state after i steps} for i in record."""
-    tau = (t_end - t0) / steps
+def corrected_run(problem, method, t0, t_end, u0, steps, first=0):
+    """Fixed-step integration propagating the corrected state each step: ``steps``
+    steps of tau = (t_end - t0) / (first + steps), the i-th from t0 + i tau, from
+    the state u0 after step ``first``. Returns the final state."""
+    tau = (t_end - t0) / (first + steps)
     u = np.asarray(u0, dtype=np.complex128)
-    kept = {}
-    for i in range(steps):
+    for i in range(first, first + steps):
         u_next, d = method.step_with_defect(problem, t0 + i * tau, tau, u)
         u = u_next - estimator_scale(tau, method.order) * d
-        if i + 1 in record:
-            kept[i + 1] = u
-    return u, kept
+    return u
 
 
 def _closed_form(problem, t0, u0):
@@ -210,12 +208,12 @@ def reference_solve(problem, t0, t_end, u0, use_exact=True, runs=None):
     (2**(p+2) - 1) is at most ``_REFERENCE_TOL * max(1, |current|)``; current
     + correction is returned. The factor assumes the order p + 2 that a
     symmetrized defect, as in every default method, gives. Ends are solved
-    longest first; ``runs`` (the caller's dict, or a new one) maps (h, i) to the
-    state after i steps of h from t0: each run's final state, and the states it
-    passes where a later end's run takes the same steps, which that end reuses,
-    so each answer is bitwise that of a call for its end alone. All runs of one
-    call take at most ``_MAX_STEPS`` steps in total, or :class:`ConvergenceFailure`
-    is raised, early once the last three ratios of successive differences agree
+    shortest first; ``runs`` (one call's store: a caller passes a new dict) maps
+    each step size h to (i, state), the furthest corrected state a run of h from
+    (t0, u0) has reached, from which a longer end's run of h goes on, so each
+    answer is bitwise that of a call for its end alone. All runs of one call take
+    at most ``_MAX_STEPS`` steps in total, or :class:`ConvergenceFailure` is
+    raised, early once the last three ratios of successive differences agree
     within 25% and the steps left cannot reach ``_REFERENCE_TOL`` at that rate.
     """
     u0 = np.asarray(u0, dtype=np.complex128)
@@ -223,22 +221,20 @@ def reference_solve(problem, t0, t_end, u0, use_exact=True, runs=None):
     if not np.isfinite([t0, *ends]).all():
         raise ValueError(f"start and end times must be finite, got t0 = {t0!r}, t_end = {t_end!r}")
     exact = _closed_form(problem, t0, u0) if use_exact else None
-    order = sorted(range(len(ends)), key=lambda k: -abs(ends[k] - t0))
     states, runs, budget, method = {}, {} if runs is None else runs, _MAX_STEPS, None
-    for position, k in enumerate(order):
+    for k in sorted(range(len(ends)), key=lambda k: abs(ends[k] - t0)):
         span = ends[k] - t0
         if span == 0 or exact is not None:
             states[k] = u0.copy() if span == 0 else exact(ends[k])
             continue
         method = method or _default_reference_method(problem)
         factor = 2.0 ** (method.order + 2) - 1.0
-        later = [ends[j] - t0 for j in order[position + 1 :]]
         steps, previous, diffs, error = 1, None, [], math.inf
         while not error <= _REFERENCE_TOL:  # a NaN error keeps doubling
             h = span / steps
-            current = runs.get((h, steps))
-            if current is None:
-                levels = int(math.log2(budget / steps + 1))  # levels it pays, this one first
+            done, current = runs.get(h, (0, u0))
+            if done < steps:
+                levels = int(math.log2(budget / (steps - done) + 1))  # levels it pays, this one first
                 tail = diffs[-4:]
                 rates = [b / a for a, b in zip(tail, tail[1:])]
                 settled = len(rates) == 3 and max(rates) <= 1.25 * min(rates)
@@ -248,11 +244,9 @@ def reference_solve(problem, t0, t_end, u0, use_exact=True, runs=None):
                         f"{_MAX_STEPS} steps before converging to {_REFERENCE_TOL:g} "
                         f"(last differences: {', '.join(f'{d:.3e}' for d in tail) or 'none'})"
                     )
-                budget -= steps
-                # key (h, i) is i steps of h from t0, whichever end's run took them
-                record = {round(s / h) for s in later if 1 <= s / h <= steps} | {steps}
-                current, kept = corrected_run(problem, method, t0, ends[k], u0, steps, record)
-                runs.update(((h, i), state) for i, state in kept.items())
+                budget -= steps - done
+                current = corrected_run(problem, method, t0, ends[k], current, steps - done, done)
+                runs[h] = (steps, current)
             if previous is not None:
                 delta = current - previous
                 diffs.append(state_norm(problem, delta))
@@ -294,7 +288,7 @@ def local_error_integral_oracle(
     act row-wise on a (k, n) stack. The method's defect evaluator runs once
     per node and must produce the matching defect kind.
     """
-    _check_kind(kind)
+    share = _share(kind)
     for name, value in (("quad_nodes", quad_nodes), ("ode_steps", ode_steps)):
         if not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -304,10 +298,10 @@ def local_error_integral_oracle(
     # map from [-1, 1] to [0, tau]
     points = 0.5 * tau * (nodes + 1.0)
     scale = 0.5 * tau
-    durations = tau - points if kind == "classical" else 0.5 * (tau - points)
+    durations = (1.0 - share) * (tau - points)
     h = durations[:, None] / ode_steps
     starts = np.tile(u0, (quad_nodes, 1))
-    if kind == "symmetrized":
+    if share:
         starts = _rk4(problem.f, starts, h, ode_steps)
     pairs = np.array([np.concatenate(method.step_with_defect(problem, 0.0, s, x))
                       for s, x in zip(points, starts)])

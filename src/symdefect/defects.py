@@ -45,9 +45,11 @@ class DefectOutput(NamedTuple):
     defect: np.ndarray
 
 
-def _check_kind(kind):
+def _share(kind):
+    """Boundary share s of a defect kind: 1/2 symmetrized, 0 classical."""
     if kind not in ("classical", "symmetrized"):
         raise ValueError(f"kind must be 'classical' or 'symmetrized', got {kind!r}")
+    return 0.5 if kind == "symmetrized" else 0.0
 
 
 def _checked(u_next, d, family):
@@ -59,30 +61,24 @@ def _checked(u_next, d, family):
 def imr_defect(problem, tau, u, kind="symmetrized"):
     """Defect of the implicit midpoint rule via linear solves.
 
-    With w the midpoint solution, m = (u + w)/2 and M = I - (tau/2) F'(m):
+    With w the midpoint solution, m = (u + w)/2, M = I - (tau/2) F'(m) and
+    the boundary share s = 1/2 (symmetrized) or 0 (classical),
 
-    * classical:    d = x - F(w)       where M x = F(m),
-    * symmetrized:  d = z - F(w)/2     where
-                    M z = F(m) - F(u)/2 - (tau/4) F'(m) F(u).
+        d = z - (1 - s) F(w)   where   M z = F(m) - s F(u) - (s/2) tau F'(m) F(u).
 
     The solves reuse the Newton machinery of the step itself. A defect no
     longer finite (a huge step or state) fails the step.
     """
-    _check_kind(kind)
+    share = _share(kind)
     u = np.asarray(u, dtype=np.complex128)
     w = step_implicit_midpoint(problem, tau, u)
     mid = 0.5 * (u + w)
     with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
-        f_mid = problem.f(mid)
-        f_w = problem.f(w)
-        if kind == "classical":
-            x = solve_linearized(problem.df, mid, tau, f_mid)
-            d = x - f_w
-        else:
+        rhs = problem.f(mid)
+        if share:  # the classical kind has no F(u) terms
             f_u = problem.f(u)
-            rhs = f_mid - 0.5 * f_u - 0.25 * tau * problem.df(mid, f_u)
-            z = solve_linearized(problem.df, mid, tau, rhs)
-            d = z - 0.5 * f_w
+            rhs = rhs - share * f_u - (0.5 * share) * tau * problem.df(mid, f_u)
+        d = solve_linearized(problem.df, mid, tau, rhs) - (1.0 - share) * problem.f(w)
     return _checked(w, d, "implicit midpoint")
 
 
@@ -101,11 +97,10 @@ def splitting_defect_semilinear(scheme, problem, tau, u, kind="symmetrized"):
     -(1 - s) B(u_next) closes the defect; the final no-op B-stage (b_J = 0)
     is skipped. A defect no longer finite (a huge step) fails the step.
     """
-    _check_kind(kind)
+    share = _share(kind)
     if scheme.b[-1] != 0.0:
         raise ValueError(f"scheme {scheme.name!r} must end with a pure A-stage (b_J = 0)")
     u = _checked_state(tau, u)
-    share = 0.5 if kind == "symmetrized" else 0.0
     last = len(scheme.a) - 1
     with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
         du = np.array((-share * problem.b(u), u))

@@ -123,12 +123,16 @@ def solve_linearized(df, base, tau, rhs):
 
 
 def _checked_state(tau, u, steps=1):
-    """u as complex128, once tau is finite and ``steps`` a positive integer (else a ValueError)."""
+    """u as complex128 once tau is finite, ``steps`` a positive integer (else a ValueError)
+    and u finite (else a StepFailure)."""
     if not math.isfinite(tau):
         raise ValueError(f"step size must be finite, got tau = {tau!r}")
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    return np.asarray(u, dtype=np.complex128)
+    u = np.asarray(u, dtype=np.complex128)
+    if not np.isfinite(u).all():
+        raise StepFailure("the state to step is not finite")
+    return u
 
 
 def _norm(v):

@@ -11,7 +11,7 @@ import numpy as np
 
 from symdefect.linalg import commutator, fft, ifft
 from symdefect.problems import LinearFamily
-from symdefect.schemes import _stage_plans
+from symdefect.schemes import _stage_plans, solve_linearized, step_implicit_midpoint
 
 
 def naive_dft(v):
@@ -207,6 +207,21 @@ def solve_linearized_loop(df, base, tau, rhs):
             probe[j] = 0.0
     sol = np.linalg.solve(mat, np.concatenate((rhs.real, rhs.imag)))
     return sol[:n] + 1j * sol[n:]
+
+
+def imr_defect_two_branch(problem, tau, u, kind):
+    """Implicit midpoint defect with one branch per kind: with w the step,
+    m = (u + w)/2 and M = I - (tau/2) F'(m), the classical d = x - F(w) with
+    M x = F(m), the symmetrized d = z - F(w)/2 with
+    M z = F(m) - F(u)/2 - (tau/4) F'(m) F(u). Returns (w, d)."""
+    u = np.asarray(u, dtype=np.complex128)
+    w = step_implicit_midpoint(problem, tau, u)
+    mid = 0.5 * (u + w)
+    if kind == "classical":
+        return w, solve_linearized(problem.df, mid, tau, problem.f(mid)) - problem.f(w)
+    f_u = problem.f(u)
+    rhs = problem.f(mid) - 0.5 * f_u - 0.25 * tau * problem.df(mid, f_u)
+    return w, solve_linearized(problem.df, mid, tau, rhs) - 0.5 * problem.f(w)
 
 
 class ScalarQuadratic:

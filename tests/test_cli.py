@@ -88,7 +88,7 @@ class TestStudies:
         plain = u0
         for i in range(steps):
             plain = method.step(prob, i * (t_end / steps), t_end / steps, plain)
-        corrected, _ = corrected_run(prob, method, 0.0, t_end, u0, steps)
+        corrected = corrected_run(prob, method, 0.0, t_end, u0, steps)
         (row,) = run_global_study(prob, method, [0.1], t_end)
         assert row.global_err == state_norm(prob, plain - reference)
         assert row.corrected_err == state_norm(prob, corrected - reference)

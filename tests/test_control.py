@@ -250,7 +250,7 @@ class TestReferenceSolve:
         prob = RosenZener()
         u0 = prob.initial_state()
         reference = reference_solve(prob, 0.0, 1.0, u0)
-        via_cf4, _ = control.corrected_run(prob, make_method("cf4"), 0.0, 1.0, u0, 256)
+        via_cf4 = control.corrected_run(prob, make_method("cf4"), 0.0, 1.0, u0, 256)
         assert np.linalg.norm(reference - via_cf4) <= 1e-11
 
     def test_problem_without_a_method_interface(self):
@@ -298,8 +298,8 @@ class TestSharedReferenceSolve:
         return steps
 
     # the longest end's doubling stops at the finest end's step tau_max/32 on
-    # these ladders; its runs serve every finer end, and the finest one adds
-    # one run of 2 steps
+    # these ladders; the shorter ends' runs are the first steps of its runs,
+    # which go on from them, and the finest end adds a 2-step run of its own
     @pytest.mark.parametrize(
         "problem, tau_max",
         [(RosenZener(k=5), 1.0), (ToySplit(), 4.0)],
@@ -318,6 +318,41 @@ class TestSharedReferenceSolve:
         assert all(np.array_equal(a, b) for a, b in zip(shared, alone))
         assert shared_steps < sum(counted_steps)
         assert shared_steps <= sum(longest_steps) + 2
+
+    @pytest.mark.parametrize(
+        "problem, name", [(RosenZener(k=3), "magnus4"), (ToySplit(), "emb43aks")], ids=["rz", "toy"]
+    )
+    def test_a_continued_run_is_bitwise_the_uninterrupted_one(self, problem, name):
+        # dyadic times, so the first k steps alone take the same tau = 1/8 bit for bit
+        method, u0, t0, t_end, steps = make_method(name), problem.initial_state(), 0.25, 1.25, 8
+        whole = control.corrected_run(problem, method, t0, t_end, u0, steps)
+        for k in (1, 3, 7):
+            head = control.corrected_run(problem, method, t0, t0 + k / steps, u0, k)
+            tail = control.corrected_run(problem, method, t0, t_end, head, steps - k, first=k)
+            assert np.array_equal(tail, whole)
+
+    def test_total_steps_of_a_multi_end_solve_are_pinned(self, counted_steps):
+        # each step size's run goes on from the furthest state a shorter end's run of it
+        # reached: 126 steps in all, as many as longest-first records took before
+        zener = RosenZener(k=5)
+        reference_solve(zener, 0.0, [1.0, 0.25, 0.75, 0.5, 0.125], zener.initial_state())
+        assert sum(counted_steps) == 126
+
+    @pytest.mark.parametrize(
+        "ends, total", [([1.0, 0.5], 63), ([1.0, 0.25, 0.75, 0.5, 0.125], 126)], ids=["two", "five"]
+    )
+    def test_a_budget_of_the_total_steps_suffices(self, monkeypatch, ends, total):
+        # a continued run is gated on the steps it adds: with 63, the end 1.0's 32-step
+        # level adds 16 to the 31 of the end 0.5 and the 16 of its own coarser levels
+        zener = RosenZener(k=5)
+        u0 = zener.initial_state()
+        alone = [reference_solve(zener, 0.0, t_end, u0) for t_end in ends]
+        monkeypatch.setattr(control, "_MAX_STEPS", total)
+        shared = reference_solve(zener, 0.0, ends, u0)
+        assert all(np.array_equal(a, b) for a, b in zip(shared, alone))
+        monkeypatch.setattr(control, "_MAX_STEPS", total - 1)
+        with pytest.raises(ConvergenceFailure, match=f"budget of {total - 1} steps"):
+            reference_solve(zener, 0.0, ends, u0)
 
     def test_off_zero_start_and_any_order(self):
         toy = ToySplit()
@@ -363,13 +398,13 @@ class TestSharedReferenceSolve:
         zener = RosenZener(k=5)
         u0 = zener.initial_state()
         magnus4 = make_method("magnus4")
-        levels = [control.corrected_run(zener, magnus4, 0.0, 30.0, u0, 2**i)[0] for i in range(5)]
+        levels = [control.corrected_run(zener, magnus4, 0.0, 30.0, u0, 2**i) for i in range(5)]
         diffs = [np.linalg.norm(b - a) for a, b in zip(levels, levels[1:])]
         assert all(0.15 < b / a < 0.7 for a, b in zip(diffs, diffs[1:]))
         counted_steps.clear()
         ref = reference_solve(zener, 0.0, 30.0, u0)
         assert counted_steps[-1] > 16 and sum(counted_steps) <= 2**13
-        fine, _ = control.corrected_run(zener, magnus4, 0.0, 30.0, u0, 2 * counted_steps[-1])
+        fine = control.corrected_run(zener, magnus4, 0.0, 30.0, u0, 2 * counted_steps[-1])
         assert state_norm(zener, ref - fine) <= 1e-11
 
     def test_rosen_zener_reference_stops_on_richardson_estimate(self, counted_steps):
@@ -377,7 +412,7 @@ class TestSharedReferenceSolve:
         u0 = zener.initial_state()
         ref = reference_solve(zener, 0.0, 1.0, u0)
         assert sum(counted_steps) < 255  # the absolute stop ran 1, 2, ..., 128 steps
-        fine, _ = control.corrected_run(zener, make_method("magnus4"), 0.0, 1.0, u0, 2048)
+        fine = control.corrected_run(zener, make_method("magnus4"), 0.0, 1.0, u0, 2048)
         assert state_norm(zener, ref - fine) <= 1e-13
 
 

@@ -44,6 +44,7 @@ from oracles import (
     cfm_stages_dense,
     expmid_defect,
     fit_slope,
+    imr_defect_two_branch,
     pair_orders,
     random_skew_hermitian,
     random_state,
@@ -118,6 +119,32 @@ class TestImrDefect:
         prob, tau = LinearScalar(lam), 2.0 * (1.0 - 1e-3) / lam
         with pytest.raises(StepFailure, match="not finite"):
             imr_defect(prob, tau, np.array([1e13 + 0j]), kind=kind)
+
+    @pytest.mark.parametrize("kind", ["classical", "symmetrized"])
+    @pytest.mark.parametrize(
+        "problem, u",
+        [
+            (ScalarQuadratic(), np.array([0.9 - 0.2j])),
+            (ToySplit(), np.array([0.8 + 0.1j])),
+            (CubicNLS(n=16), CubicNLS(n=16).initial_state() * (1.0 + 0.1j)),
+        ],
+        ids=["quadratic", "toy-split", "nls-16"],
+    )
+    def test_one_formula_is_bitwise_the_two_branches(self, problem, u, kind):
+        # the share s = 0 zeroes the F(u) terms and keeps F(w) whole, bit for bit
+        for tau in (0.3, 0.05, -0.02):
+            got = imr_defect(problem, tau, u, kind=kind)
+            expected = imr_defect_two_branch(problem, tau, u, kind)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))  # signed zeros too
+
+    def test_classical_kind_never_forms_the_f_u_terms(self):
+        # F'(m) F(u) = 2e330 overflows while F(m) and F(w) stay finite: 0 * inf
+        # would make the classical defect NaN, which the two branches never form
+        prob, u, tau = ScalarQuadratic(), np.array([1e110 + 0j]), 1e-300
+        got = imr_defect(prob, tau, u, kind="classical")
+        expected = imr_defect_two_branch(prob, tau, u, "classical")
+        assert np.isfinite(got.defect).all()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
 
     def test_u_next_matches_plain_step(self):
         prob = ScalarQuadratic()
@@ -813,7 +840,7 @@ class TestTheoremOnSeededDraws:
             rng = np.random.default_rng(300 + draw)
             n = int(rng.integers(3, 7))
             prob, u, t0 = RandomFamily(rng, n), random_state(rng, n), float(rng.uniform(-1.0, 1.0))
-            exact = {tau: corrected_run(prob, reference, t0, t0 + tau, u, 64)[0] for tau in taus}
+            exact = {tau: corrected_run(prob, reference, t0, t0 + tau, u, 64) for tau in taus}
             for name, variant in [("expmid", "hermite"), *itertools.product(("cf4", "magnus4"), ("taylor", "hermite"))]:
                 method = make_method(name, variant=variant)
                 order = self.finest_order(method, prob, t0, u, exact.get, taus)

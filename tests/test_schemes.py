@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from symdefect import schemes
+from symdefect.control import make_method
 from symdefect.defects import cfm_defect
 from symdefect.errors import StepFailure
 from symdefect.linalg import ExpmPlan, expm
@@ -105,8 +106,8 @@ class TestImplicitMidpoint:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_state_fails(self, bad):
-        # u = inf would make the first residual inf - inf
-        with pytest.raises(StepFailure, match="iterate or residual is not finite"):
+        # u = inf would make the first residual inf - inf; the state check comes first
+        with pytest.raises(StepFailure, match="state to step is not finite"):
             step_implicit_midpoint(LinearScalar(1.0), 0.1, np.array([bad + 0j]))
 
     def test_against_bisection(self):
@@ -174,6 +175,19 @@ class TestSplitting:
         rng = np.random.default_rng(1)
         u = random_state(rng, 64)
         assert np.array_equal(step_splitting(EMB43AKS, prob, 0.0, u), u)
+
+    @pytest.mark.parametrize("name", ["strang", "emb43aks"])
+    @pytest.mark.parametrize("problem", [CubicNLS(n=64), ToySplit()], ids=["nls-64", "toy-split"])
+    def test_non_finite_state_fails(self, problem, name):
+        # the plain step used to return an all-NaN state on the NLS grid and to
+        # raise a bare RuntimeWarning on ToySplit; it fails as the defect does
+        u = problem.initial_state().copy()
+        u[0] = np.nan
+        for bad in (u, np.full_like(u, np.inf)):
+            with pytest.raises(StepFailure, match="state to step is not finite"):
+                make_method(name).step(problem, 0.0, 0.1, bad)
+            with pytest.raises(StepFailure):
+                make_method(name).step_with_defect(problem, 0.0, 0.1, bad)
 
 
 class TestExponentialSteppers:
