@@ -76,7 +76,7 @@ def dyadic_ladder(tau_max, levels):
 
 
 def _step_count(span, tau):
-    steps = round(span / tau) if span / tau <= control._MAX_STEPS else 0
+    steps = round(span / tau) if tau and span / tau <= control._MAX_STEPS else 0
     if steps < 1 or abs(steps * tau - span) > 1e-9 * abs(span):
         raise ValueError(
             f"interval length {span} is not 1 to {control._MAX_STEPS} steps of tau {tau}")

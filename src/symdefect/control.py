@@ -376,7 +376,7 @@ def adaptive_integrate(problem, method, config, t0, t_end, u0):
     """
     if not -math.inf < t0 <= t_end < math.inf:  # NaN too
         raise ValueError(f"need finite t0 <= t_end, got t0 = {t0!r}, t_end = {t_end!r}")
-    u = np.asarray(u0, dtype=np.complex128)
+    u = np.array(u0, dtype=np.complex128)
     records = []
     t = t0
     compensation = 0.0  # Kahan accumulation keeps sum(tau) consistent with t

@@ -33,6 +33,13 @@ def soliton_value(x, t):
     return 2.0 * np.exp(1j * (1.5 * t - x)) / np.cosh(2.0 * (t + x))
 
 
+def _unit_phase(y):  # exp(i y) for real y, bit for bit np.exp of the complex 0 + i y
+    out = np.empty(np.shape(y), dtype=np.complex128)
+    np.cos(y, out=out.real)
+    np.sin(y, out=out.imag)
+    return out
+
+
 def _re_dot(u, v):
     # componentwise Re(conj(u) * v); _re_dot(u, u) is |u|^2 without abs()'s square root
     return u.real * v.real + u.imag * v.imag
@@ -54,7 +61,7 @@ class CubicNLS:
 
     ``flow_A(t, (d, u), weight)`` adds weight * A exp(tA) u to the moved d and
     keeps the phases exp(-i k^2 t / 2) of the last few t, read-only (each one
-    exp of modes 0..n/2, mirrored: k^2 is bitwise even); one |u|^2 serves
+    cos/sin pair of modes 0..n/2, mirrored: k^2 is bitwise even); one |u|^2 serves
     ``dflow_B_and_flow(t, u, v, weight)``'s stack (moved v + weight B(u), flowed u).
 
     `initial` selects the start state: "soliton" samples the exact soliton
@@ -88,10 +95,10 @@ class CubicNLS:
 
     def flow_A(self, t, u, weight=0.0):
         phase = self._phases.get(t)  # one read: a concurrent clear() costs a recompute
-        if phase is None:
+        if phase is None:  # 0.0 - t k^2/2 has the +0 of -1j * t * k^2 where t k^2 is 0
             if len(self._phases) >= self._PHASE_MEMO:
                 self._phases.clear()
-            phase = np.exp(-1j * t * self._half_ksq[: self.n // 2 + 1])
+            phase = _unit_phase(0.0 - t * self._half_ksq[: self.n // 2 + 1])
             phase = self._phases[t] = np.concatenate((phase, phase[-2:0:-1]))
             phase.flags.writeable = False
         spec = fft(u)
@@ -106,7 +113,7 @@ class CubicNLS:
         return 1j * _re_dot(u, u) * u
 
     def flow_B(self, t, u):
-        return np.exp(1j * t * _re_dot(u, u)) * u
+        return _unit_phase((t + 0.0) * _re_dot(u, u)) * u  # t + 0.0: 1j * t's +0 at t = -0
 
     def dflow_B(self, t, u, v):
         return self.dflow_B_and_flow(t, u, v)[0]
@@ -115,7 +122,7 @@ class CubicNLS:
         mod2 = _re_dot(u, u)
         if weight:
             v = v + weight * (1j * mod2 * u)  # v + weight * b(u)
-        phase = np.exp(1j * t * mod2)
+        phase = _unit_phase((t + 0.0) * mod2)  # as in flow_B
         out = np.empty((2, *u.shape), dtype=np.complex128)  # (moved v, flowed u)
         np.multiply(phase, v + 2j * t * u * _re_dot(u, v), out=out[0])  # phase first, as in flow_A
         np.multiply(phase, u, out=out[1])

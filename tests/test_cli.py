@@ -98,6 +98,12 @@ class TestStudies:
         with pytest.raises(ValueError):
             run_global_study(toy, make_method("strang"), [0.3], t_end=1.0)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.0])
+    def test_a_zero_step_is_a_value_error(self, tau):
+        # span / tau used to raise a bare ZeroDivisionError
+        with pytest.raises(ValueError, match="is not 1 to"):
+            run_global_study(CubicNLS(n=64), make_method("strang"), [tau], 0.125)
+
     def test_exact_scheme_floors_at_roundoff(self):
         # constant generator: the midpoint exponential is exact, so the
         # measured errors sit at the accuracy floor and the order columns

@@ -520,6 +520,13 @@ class TestController:
         u, records = adaptive_integrate(toy, make_method("imr"), cfg, 0.5, 0.5, toy.initial_state())
         assert records == [] and np.array_equal(u, toy.initial_state())
 
+    def test_empty_interval_returns_a_copy_of_u0(self):
+        # the caller's own array used to come back
+        toy, u0 = ToySplit(), ToySplit().initial_state()
+        cfg = AdaptiveConfig(tol=1e-8, tau_init=0.1, tau_min=1e-10, tau_max=0.5)
+        u, _ = adaptive_integrate(toy, make_method("imr"), cfg, 0.5, 0.5, u0)
+        assert np.array_equal(u, u0) and not np.shares_memory(u, u0)
+
     def test_propose_step_formula(self):
         cfg = AdaptiveConfig(tol=1e-8, tau_init=0.1, tau_min=1e-9, tau_max=10.0)
         tau = 0.1

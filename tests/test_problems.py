@@ -13,6 +13,7 @@ from symdefect.problems import (
     LinearFamily,
     RosenZener,
     ToySplit,
+    _unit_phase,
     make_problem,
     soliton_value,
 )
@@ -225,8 +226,21 @@ class TestPhaseMemo:
 
 
 STAGE_SIZES = [1, 2, 4, 64, 512]
-STAGE_TIMES = [-0.3, 0.0, 1e-3, 0.27, 40.0]
+STAGE_TIMES = [-0.3, 0.0, -0.0, 1e-3, 0.27, 40.0]
 STAGE_WEIGHTS = [0.0, -0.23, 0.86]
+
+
+def phase_inputs(shape, seed):
+    """Random complex states for the phase kernels: plain; with every other
+    entry -0 - 0j, so that a B-phase argument is +-0 (the sign of t) and the
+    phase's signed zero shows in its product; all -0 - 0j, so that the A-phase's
+    at k = 0 shows too; and scaled so that t |u|^2 reaches 1e10 and 1e100,
+    short of any overflow."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    zeros = u.copy()
+    zeros[..., ::2] = complex(-0.0, -0.0)
+    return [u, zeros, np.full(shape, complex(-0.0, -0.0)), 1e5 * u, 1e50 * u]
 
 
 class TestStageKernelsBitwise:
@@ -239,33 +253,44 @@ class TestStageKernelsBitwise:
             h = CubicNLS(n=n)._half_ksq
             assert np.array_equal(h[1:], h[:0:-1]), n
 
+    def test_unit_phase_is_numpys_complex_exp(self):
+        # the premise of the NLS phases: cos and sin give numpy's exp(i y) byte
+        # for byte at every magnitude; a libm or SIMD dispatch that breaks it fails here
+        rng = np.random.default_rng(28)
+        y = 10.0 ** rng.uniform(-300, 300, 100_000) * rng.choice((-1.0, 1.0), 100_000)
+        y = np.concatenate((y, np.logspace(-300, 300, 601), -np.logspace(-300, 300, 601)))
+        for shape in (y.shape, (2, -1)):
+            assert _unit_phase(y.reshape(shape)).tobytes() == np.exp(1j * y).tobytes(), shape
+        assert _unit_phase(np.float64(-2.5)).tobytes() == np.exp(-2.5j).tobytes()
+
     @pytest.mark.parametrize("n", STAGE_SIZES)
     def test_flow_a_matches_the_full_spectrum_phase(self, n):
-        rng = np.random.default_rng(n)
-        stack = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        # bytes, not np.array_equal: a phase with a flipped signed zero fails too
         nls = CubicNLS(n=n)
-        for t in STAGE_TIMES:
-            cases = [(stack[1], 0.0)] + [(stack, w) for w in STAGE_WEIGHTS]
-            for u, weight in cases:
-                expected = nls_flow_A_full(nls, t, u, weight)
-                miss = CubicNLS(n=n).flow_A(t, u, weight)
-                hit = nls.flow_A(t, u, weight)  # a memo hit from each t's second case on
-                assert np.array_equal(miss, expected) and np.array_equal(hit, expected), (t, weight)
+        for stack in phase_inputs((2, n), n):
+            for t in STAGE_TIMES:
+                cases = [(stack[1], 0.0)] + [(stack, w) for w in STAGE_WEIGHTS]
+                for u, weight in cases:
+                    expected = nls_flow_A_full(nls, t, u, weight).tobytes()
+                    miss = CubicNLS(n=n).flow_A(t, u, weight)
+                    hit = nls.flow_A(t, u, weight)  # a memo hit from each t's second case on
+                    assert miss.tobytes() == expected == hit.tobytes(), (t, weight)
 
     @pytest.mark.parametrize("n", STAGE_SIZES)
     @pytest.mark.parametrize("rows", [None, 2], ids=["vector", "stack"])
     def test_b_stage_matches_the_two_products(self, n, rows):
         shape = (n,) if rows is None else (rows, n)
-        rng = np.random.default_rng(n)
-        u = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rng = np.random.default_rng(n + 1)
         v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         nls = CubicNLS(n=n)
-        for t in STAGE_TIMES:
-            for weight in STAGE_WEIGHTS:
-                out = nls.dflow_B_and_flow(t, u, v, weight)
-                moved, flowed = nls_dflow_B_and_flow_pair(t, u, v, weight)
-                assert out.shape == (2, *shape)
-                assert np.array_equal(out[0], moved) and np.array_equal(out[1], flowed), (t, weight)
+        for u in phase_inputs(shape, n):
+            for t in STAGE_TIMES:
+                for weight in STAGE_WEIGHTS:
+                    out = nls.dflow_B_and_flow(t, u, v, weight)
+                    moved, flowed = nls_dflow_B_and_flow_pair(t, u, v, weight)
+                    assert out.shape == (2, *shape)
+                    assert out.tobytes() == moved.tobytes() + flowed.tobytes(), (t, weight)
+                    assert nls.flow_B(t, u).tobytes() == flowed.tobytes(), t
 
     def test_b_stage_sizes_its_stack_from_u(self):
         # pointwise in u and v: a (3, 64) stack on a problem of another length
