@@ -59,17 +59,17 @@ class CubicNLS:
     * the B-subflow conserves the modulus of every component, so it reduces
       to the phase rotation u_m -> exp(i t |u_m|^2) u_m.
 
-    ``flow_A(t, (d, u), weight)`` adds weight * A exp(tA) u to the moved d and
-    keeps the phases exp(-i k^2 t / 2) of the last few t, read-only (each one
-    cos/sin pair of modes 0..n/2, mirrored: k^2 is bitwise even); one |u|^2 serves
-    ``dflow_B_and_flow(t, u, v, weight)``'s stack (moved v + weight B(u), flowed u).
+    ``flow_A(t, (d, u), weight)`` adds weight * A exp(tA) u to the moved d; it keeps the
+    phases exp(-i k^2 t / 2) (cos/sin pairs of modes 0..n/2, mirrored: k^2 is bitwise even)
+    and factors -i weight k^2 / 2 of its last few t and weights, read-only, oldest out first.
+    One |u|^2 serves ``dflow_B_and_flow(t, u, v, weight)``'s (moved v + weight B(u), flowed u).
 
     `initial` selects the start state: "soliton" samples the exact soliton
     at t = 0 (and enables :meth:`exact_state`), "two-soliton" superposes two
     counter-propagating solitary waves of amplitude 2 (`carriers`, `centers`).
     """
 
-    _PHASE_MEMO = 8  # phases kept: a plain emb43aks run's 4 sub-steps (a_1..a_3, 2 a_1) at two taus
+    _PHASE_MEMO = 8  # per memo: a plain emb43aks run's 4 sub-steps (a_1..a_3, 2 a_1) at two taus
 
     def __init__(self, n=512, initial="soliton", carriers=(1.0, -3.0), centers=(5.0, -5.0)):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n <= 0 or n & (n - 1):
@@ -82,7 +82,7 @@ class CubicNLS:
         self.n = n
         self.x = -16.0 + 32.0 * np.arange(n) / n
         self._half_ksq = 0.5 * ((2.0 * np.pi / 32.0) * np.fft.fftfreq(n, 1.0 / n)) ** 2
-        self._phases = {}  # sub-step t -> read-only exp(-i t k^2 / 2), see flow_A
+        self._phases, self._factors = {}, {}  # t -> exp(-i t k^2 / 2), w -> -i w k^2 / 2
         self.initial = initial
         self._two_soliton = tuple(zip(carriers, centers))
         # discrete L2 norm weight sqrt(h); error tables are stated in this norm
@@ -93,18 +93,22 @@ class CubicNLS:
     def apply_A(self, u):
         return ifft(-1j * self._half_ksq * fft(u))
 
-    def flow_A(self, t, u, weight=0.0):
-        phase = self._phases.get(t)  # one read: a concurrent clear() costs a recompute
-        if phase is None:  # 0.0 - t k^2/2 has the +0 of -1j * t * k^2 where t k^2 is 0
-            if len(self._phases) >= self._PHASE_MEMO:
-                self._phases.clear()
-            phase = _unit_phase(0.0 - t * self._half_ksq[: self.n // 2 + 1])
-            phase = self._phases[t] = np.concatenate((phase, phase[-2:0:-1]))
-            phase.flags.writeable = False
+    def _kept(self, memo, key, make):  # read-only make(k^2/2 of modes 0..n/2), mirrored: k^2 is even
+        value = memo.get(key)  # one read: a concurrent eviction costs a recompute
+        if value is None:
+            while len(memo) >= self._PHASE_MEMO:  # oldest first; a snapshot, as threads insert too
+                memo.pop(next(iter(tuple(memo)), None), None)
+            half = make(self._half_ksq[: self.n // 2 + 1])
+            value = memo[key] = np.concatenate((half, half[-2:0:-1]))
+            value.flags.writeable = False
+        return value
+
+    def flow_A(self, t, u, weight=0.0):  # 0.0 - t k^2/2: the +0 of -1j * t * k^2 where t k^2 is 0
+        phase = self._kept(self._phases, t, lambda h: _unit_phase(0.0 - t * h))
         spec = fft(u)
         np.multiply(phase, spec, out=spec)  # phase first: not bitwise commutative
         if weight:
-            spec[0] += (-1j * weight) * self._half_ksq * spec[1]
+            spec[0] += self._kept(self._factors, weight, lambda h: (-1j * weight) * h) * spec[1]
         return ifft(spec)
 
     # -- nonlinear part ----------------------------------------------------

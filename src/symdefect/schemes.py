@@ -8,6 +8,7 @@ that is not a positive integer, is a ValueError.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -146,6 +147,7 @@ def _norm(v):
 _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-13, 25
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _norm fails a non-finite iterate
 def step_implicit_midpoint(problem, tau, u, steps=1):
     """Implicit midpoint rule, second order, self-adjoint: per step a Newton
     solve of w = u + tau F((u + w)/2), whose w starts the next step.
@@ -185,11 +187,6 @@ def step_splitting(scheme, problem, tau, u, steps=1):
             u = problem.flow_B(bj * tau, problem.flow_A(pending * tau, u))
             pending = 0.0
     return problem.flow_A(pending * tau, u) if pending else u
-
-
-def step_exp_midpoint(problem, t0, tau, u):
-    """Exponential midpoint rule exp(tau A(t0 + tau/2)) u, second order."""
-    return step_cfm(EXPMID_AS_CFM, problem, t0, tau, u)
 
 
 def _stage_coefficients(scheme, problem, t0, tau, derivatives):
@@ -246,6 +243,5 @@ def step_cfm(scheme, problem, t0, tau, u, steps=1):
     return u
 
 
-def step_magnus4(problem, t0, tau, u):
-    """Classical 4th-order Magnus integrator on Gauss nodes."""
-    return step_cfm(MAGNUS4, problem, t0, tau, u)
+step_exp_midpoint = partial(step_cfm, EXPMID_AS_CFM)  # exp(tau A(t0 + tau/2)) u, second order
+step_magnus4 = partial(step_cfm, MAGNUS4)  # classical 4th-order Magnus on the Gauss nodes

@@ -1,11 +1,14 @@
 """Problem definitions: subflows, derivatives, closed forms, invariants."""
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from symdefect import problems
+from symdefect.control import AdaptiveConfig, adaptive_integrate, make_method
 from symdefect.errors import StepFailure
 from symdefect.linalg import fft, ifft
 from symdefect.problems import (
@@ -157,13 +160,27 @@ class TestCubicNLS:
             prob.exact_state(0.0)
 
 
+CRITERION_9 = AdaptiveConfig(tol=1e-10, tau_init=1e-2, tau_min=1e-8, tau_max=0.25)
+
+
+class CountingDict(dict):
+    """A memo that counts its stores."""
+
+    stores = 0
+
+    def __setitem__(self, key, value):
+        self.stores += 1
+        super().__setitem__(key, value)
+
+
 def random_stack(seed, n=64):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
 
 
 class TestPhaseMemo:
-    """CubicNLS keeps the A-phases exp(-i t k^2 / 2) of its last few sub-steps t."""
+    """CubicNLS keeps the A-phases exp(-i t k^2 / 2) of its last few sub-steps t
+    and the factors -i w k^2 / 2 of its last few stage weights w."""
 
     @pytest.mark.parametrize("weight", [0.0, -0.36], ids=["state", "weighted-stack"])
     def test_hit_is_bitwise_a_miss(self, weight):
@@ -207,22 +224,112 @@ class TestPhaseMemo:
             step_splitting(EMB43AKS, nls, tau, u, 3)
         assert len(nls._phases) == 8 == CubicNLS._PHASE_MEMO
 
+    def test_eviction_is_oldest_first(self):
+        nls = CubicNLS(n=64)
+        u = random_stack(9)
+        times = [1e-3 * (i + 1) for i in range(20)]
+        for t in times:
+            nls.flow_A(t, u, t + 1.0)
+        assert list(nls._phases) == times[-CubicNLS._PHASE_MEMO :]
+        assert list(nls._factors) == [t + 1.0 for t in times[-CubicNLS._PHASE_MEMO :]]
+        # so a trial's sub-steps a_1 tau, a_2 tau, a_3 tau, a_2 tau, a_1 tau all
+        # stay once made, however full the memo was: 3 phases a trial
+        nls._phases = CountingDict()
+        for tau in (0.1 / (i + 1) for i in range(20)):
+            for a in EMB43AKS.a:
+                nls.flow_A(a * tau, u, a)
+        assert nls._phases.stores == 3 * 20
+
+    def test_factors_are_read_only_never_returned_and_bounded(self):
+        nls = CubicNLS(n=64)
+        stack = random_stack(11)
+        outputs = [nls.flow_A(0.1, stack, w) for w in (0.5, -0.25, 0.5)]
+        assert list(nls._factors) == [0.5, -0.25]
+        for factor in nls._factors.values():
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0] = 0.0
+            assert not any(np.shares_memory(out, factor) for out in outputs)
+        for i in range(100):
+            nls.flow_A(0.1, stack, 1e-3 * (i + 1))
+            assert len(nls._factors) <= CubicNLS._PHASE_MEMO
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 512])
+    def test_factor_hit_is_bitwise_a_miss(self, n):
+        warm = CubicNLS(n=n)
+        for stack in phase_inputs((2, n), n):  # the all -0 - 0j state among them
+            for w in STAGE_WEIGHTS:
+                miss = CubicNLS(n=n).flow_A(0.27, stack, w).tobytes()
+                first = warm.flow_A(0.27, stack, w).tobytes()
+                assert first == miss == warm.flow_A(0.27, stack, w).tobytes(), w
+        assert list(warm._factors) == [w for w in STAGE_WEIGHTS if w]
+        for w, factor in warm._factors.items():  # the product each stage formed before
+            assert factor.tobytes() == ((-1j * w) * warm._half_ksq).tobytes(), w
+
     def test_concurrent_readers_agree_with_a_fresh_problem(self):
-        # more sub-steps than the memo holds, so the threads clear it under
-        # each other; each result is still that of a fresh problem
-        nls, u = CubicNLS(n=64), random_stack(10)[0]
+        # more sub-steps and weights than the memos hold, so the threads evict
+        # under each other, switched every microsecond; each result is still
+        # that of a fresh problem, and no eviction raises. On a 2-point grid the
+        # memo code is most of the time, so a switch often lands inside it: with
+        # an eviction by next(iter(memo)) this test raised "dictionary changed
+        # size during iteration" in 10 of 10 runs (2-CPU x86-64, Python 3.11)
+        nls, stack = CubicNLS(n=2), random_stack(10, n=2)
         times = [0.01 * (i + 1) for i in range(3 * CubicNLS._PHASE_MEMO)]
-        expected = {t: CubicNLS(n=64).flow_A(t, u) for t in times}
+        cases = [(t, stack[0], 0.0) for t in times] + [(t, stack, 1.0 - t) for t in times]
+        expected = [CubicNLS(n=2).flow_A(*case).tobytes() for case in cases]
 
         def run(offset):
-            return all(
-                np.array_equal(nls.flow_A(t, u), expected[t])
-                for t in times[offset:] + times[:offset]
-                for _ in range(4)
-            )
+            order = list(range(offset, len(cases))) + list(range(offset))
+            return all(nls.flow_A(*cases[i]).tobytes() == expected[i] for _ in range(100) for i in order)
 
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            assert all(pool.map(run, (0, 5, 11)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                assert all(pool.map(run, (0, 5, 11)))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_an_adaptive_trial_makes_three_phases_and_no_factor_twice(self, monkeypatch):
+        # criterion 9's run to t = 1: each trial's 5 A-stages use 3 sub-steps and
+        # 3 stage weights; count the half-spectrum phases and the weight factors
+        # (products of a complex weight with k^2/2) the run computes
+        nls = CubicNLS(initial="two-soliton")
+        counts = {"phases": 0, "factors": 0}
+        unit_phase = problems._unit_phase
+
+        def counted_phase(y):
+            counts["phases"] += np.shape(y) == (nls.n // 2 + 1,)
+            return unit_phase(y)
+
+        class CountedKsq(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                counts["factors"] += ufunc is np.multiply and any(isinstance(x, complex) for x in inputs)
+                inputs = [x.view(np.ndarray) if isinstance(x, CountedKsq) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        monkeypatch.setattr(problems, "_unit_phase", counted_phase)
+        nls._half_ksq = nls._half_ksq.view(CountedKsq)
+        _, trace = adaptive_integrate(
+            nls, make_method("emb43aks"), CRITERION_9, 0.0, 1.0, nls.initial_state())
+        assert len(trace) > 100
+        assert counts["phases"] == 3 * len(trace)
+        assert counts["factors"] <= 3
+
+    def test_a_warm_problem_runs_bitwise_as_a_cold_one(self):
+        # a problem whose memos an earlier run filled, the first trial's phases and
+        # factors among them, gives the adaptive trace and final state of a new one
+        method = make_method("emb43aks")
+
+        def run(nls):
+            u, trace = adaptive_integrate(nls, method, CRITERION_9, 0.0, 0.5, nls.initial_state())
+            return u.tobytes(), trace
+
+        warm = CubicNLS(initial="two-soliton")
+        adaptive_integrate(warm, method, CRITERION_9, 1.0, 1.5, warm.initial_state())
+        method.step_with_defect(warm, 0.0, CRITERION_9.tau_init, warm.initial_state())
+        assert len(warm._phases) == CubicNLS._PHASE_MEMO and len(warm._factors) == 3
+        assert run(warm) == run(CubicNLS(initial="two-soliton"))
 
 
 STAGE_SIZES = [1, 2, 4, 64, 512]

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,21 @@ class TestImplicitMidpoint:
         # u = inf would make the first residual inf - inf; the state check comes first
         with pytest.raises(StepFailure, match="state to step is not finite"):
             step_implicit_midpoint(LinearScalar(1.0), 0.1, np.array([bad + 0j]))
+
+    @pytest.mark.parametrize("call", ["step", "step_with_defect"])
+    @pytest.mark.parametrize(
+        "problem, tau, scale",
+        [(ToySplit(), 1e300, 1.0), (ToySplit(), 0.1, 1e200), (CubicNLS(n=16), 1e300, 1.0)],
+        ids=["toy-split-huge-step", "toy-split-huge-state", "nls-huge-step"],
+    )
+    def test_overflow_fails_without_a_warning(self, call, problem, tau, scale):
+        # the Newton iterate overflows to inf, then inf * 0 is NaN: numpy's overflow and
+        # invalid warnings must stay silent, and the non-finite iterate fails the step
+        u = scale * problem.initial_state()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailure, match="iterate or residual is not finite"):
+                getattr(make_method("imr"), call)(problem, 0.0, tau, u)
 
     def test_against_bisection(self):
         prob = ScalarQuadratic()
