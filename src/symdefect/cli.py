@@ -103,13 +103,10 @@ def _ladder(row_type, tau_list, measure):
         except StepFailure:
             first = second = math.nan
         if not (math.isfinite(first) and math.isfinite(second)):
-            rows.append(row_type(tau, math.nan, math.nan, math.nan, math.nan, True))
-            prev = (None, None, None)
-            continue
+            first = second = math.nan  # NaN orders here and in the next row
         p_tau, p_first, p_second = prev
-        first_order = _order(p_tau, p_first, tau, first)
-        second_order = _order(p_tau, p_second, tau, second)
-        rows.append(row_type(tau, first, first_order, second, second_order))
+        rows.append(row_type(tau, first, _order(p_tau, p_first, tau, first),
+                             second, _order(p_tau, p_second, tau, second), math.isnan(first)))
         prev = (tau, first, second)
     return rows
 
@@ -284,30 +281,25 @@ def main(argv=None):
     except ValueError as exc:
         parser.error(str(exc))
 
-    if args.command in ("local", "global"):
-        ladder = dyadic_ladder(args.tau_max, args.levels)
+    if args.command == "adaptive":
         try:
-            if args.command == "local":
-                rows = run_local_study(problem, method, ladder)
-            else:
-                rows = run_global_study(problem, method, ladder, args.t_end)
-        except (StepFailure, ConvergenceFailure) as exc:  # from the reference solve
-            sys.stderr.write(f"{args.command} study aborted: {exc}\n")
-            return 1
-        _emit(rows, args)
-        return 1 if any(row.failed for row in rows) else 0
-
-    try:
-        config = AdaptiveConfig(tol=args.tol, tau_init=args.tau_max / 8.0, tau_max=args.tau_max)
-    except ValueError as exc:
-        parser.error(f"invalid adaptive settings: {exc}")
-    try:
-        _, trace = run_adaptive(problem, method, config, args.t_end)
-    except (StepFailure, ConvergenceFailure) as exc:  # a stall or the trial budget
-        sys.stderr.write(f"adaptive run aborted: {exc}\n")
+            config = AdaptiveConfig(tol=args.tol, tau_init=args.tau_max / 8.0, tau_max=args.tau_max)
+        except ValueError as exc:
+            parser.error(f"invalid adaptive settings: {exc}")
+    ladder = dyadic_ladder(args.tau_max, getattr(args, "levels", 1))
+    try:  # a reference solve, an adaptive stall or the trial budget aborts the run
+        if args.command == "local":
+            rows = run_local_study(problem, method, ladder)
+        elif args.command == "global":
+            rows = run_global_study(problem, method, ladder, args.t_end)
+        else:
+            rows = run_adaptive(problem, method, config, args.t_end)[1]
+    except (StepFailure, ConvergenceFailure) as exc:
+        run = "adaptive run" if args.command == "adaptive" else f"{args.command} study"
+        sys.stderr.write(f"{run} aborted: {exc}\n")
         return 1
-    _emit(trace, args)
-    return 0
+    _emit(rows, args)
+    return 1 if any(getattr(row, "failed", False) for row in rows) else 0  # trace rows have none
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from .schemes import (
 # of a global-study level; 3.6x the 2,243 trials of the adaptive-two-soliton pass), and the
 # tolerance of a reference solve's Richardson estimate
 _MAX_STEPS, _REFERENCE_TOL = 2**13, 1e-12
+_GAUSS_RULES = {}  # quad_nodes -> the oracle's read-only Gauss-Legendre (nodes, weights) on [-1, 1]
 
 __all__ = [
     "StepOutput",
@@ -260,16 +261,18 @@ def reference_solve(problem, t0, t_end, u0, use_exact=True, runs=None):
 
 
 def _rk4(rhs, y, h, steps):
-    """Fixed-step RK4 on a (k, m) stack, row i stepping by h[i, 0]."""
+    """Fixed-step RK4 on a (k, m) stack, row i stepping by h[i, 0] (its constants made once)."""
+    half, sixth = 0.5 * h, h / 6.0
     for _ in range(steps):
         k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
         k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a flow that blows up is checked at the end
 def local_error_integral_oracle(
     problem, method, tau, u0, kind="symmetrized", quad_nodes=48, ode_steps=512
 ):
@@ -280,13 +283,13 @@ def local_error_integral_oracle(
     symmetrized:  int_0^tau dE(h, S(s, E(h, u0))) . D(s, E(h, u0)) ds,
                   h = (tau - s)/2
 
-    on ``quad_nodes`` Gauss-Legendre nodes s. The exact flow E of
-    u' = F(u), and its derivative dE applied by integrating the variational
-    equation v' = F'(y) v alongside y' = F(y), come from ``ode_steps`` RK4
-    steps taken for all nodes at once: row i of a (quad_nodes, 2n) stack
-    runs over node i's duration, so ``problem.f`` and ``problem.df`` must
-    act row-wise on a (k, n) stack. The method's defect evaluator runs once
-    per node and must produce the matching defect kind.
+    on ``quad_nodes`` Gauss-Legendre nodes s. The exact flow E of u' = F(u), and its
+    derivative dE applied by integrating the variational equation v' = F'(y) v alongside
+    y' = F(y), come from ``ode_steps`` RK4 steps taken for all nodes at once: row i of a
+    (quad_nodes, 2n) stack runs over node i's duration, so ``problem.f`` and ``problem.df``
+    must act row-wise on a (k, n) stack. The method's defect evaluator runs once per node
+    and must produce the matching defect kind. A non-finite integral raises
+    :class:`ConvergenceFailure`.
     """
     share = _share(kind)
     for name, value in (("quad_nodes", quad_nodes), ("ode_steps", ode_steps)):
@@ -294,7 +297,10 @@ def local_error_integral_oracle(
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     u0 = np.asarray(u0, dtype=np.complex128)
     n = u0.shape[0]
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    if quad_nodes not in _GAUSS_RULES:  # once per node count; numpy.polynomial loads on first use
+        for array in _GAUSS_RULES.setdefault(quad_nodes, np.polynomial.legendre.leggauss(quad_nodes)):
+            array.flags.writeable = False
+    nodes, weights = _GAUSS_RULES[quad_nodes]
     # map from [-1, 1] to [0, tau]
     points = 0.5 * tau * (nodes + 1.0)
     scale = 0.5 * tau
@@ -314,6 +320,8 @@ def local_error_integral_oracle(
     total = np.zeros_like(u0)
     for w, term in zip(weights, terms):
         total = total + (w * scale) * term
+    if not np.isfinite(total).all():
+        raise ConvergenceFailure(f"the local error quadrature at tau = {tau!r} is not finite")
     return total
 
 

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -465,6 +466,70 @@ class TestIntegralOracle:
         )
         loop = integral_oracle_loop(problem, method, 0.1, u0, kind, quad_nodes, ode_steps)
         assert np.linalg.norm(batched - loop) <= 1e-14 * np.linalg.norm(loop)
+
+    @pytest.mark.parametrize(
+        "scheme, kind, tau, error",
+        [
+            ("strang", "classical", 50.0, ConvergenceFailure),
+            ("imr", "classical", 50.0, ConvergenceFailure),
+            ("strang", "symmetrized", 1e300, StepFailure),
+            ("imr", "symmetrized", 1e300, StepFailure),
+        ],
+        ids=["strang-classical", "imr-classical", "strang-huge", "imr-huge"],
+    )
+    def test_overflow_raises_a_typed_error_without_warnings(self, scheme, kind, tau, error):
+        # 8 RK4 steps over spans near 50 are unstable: the quadrature overflows to NaN, a
+        # ConvergenceFailure rather than a returned NaN; at 1e300 the defect step itself fails
+        method = make_method(scheme, defect=kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                local_error_integral_oracle(
+                    ToySplit(), method, tau, np.array([1 + 0j]), kind=kind,
+                    quad_nodes=4, ode_steps=8,
+                )
+
+    def test_rk4_is_bitwise_the_loop_with_its_constants_inline(self):
+        def inline(rhs, y, h, steps):
+            for _ in range(steps):
+                k1 = rhs(y)
+                k2 = rhs(y + 0.5 * h * k1)
+                k3 = rhs(y + 0.5 * h * k2)
+                k4 = rhs(y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return y
+
+        rng = np.random.default_rng(7)
+        y = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        h = np.array([[0.1], [-0.3], [-0.0], [0.0], [1e-300], [-7e-17]])
+
+        def rhs(z):
+            return (0.3 - 1j) * z + 0.5j * z * z
+
+        got = control._rk4(rhs, y, h, 9)
+        assert got.tobytes() == inline(rhs, y, h, 9).tobytes()
+
+    def test_gauss_rule_is_made_once_per_node_count(self, monkeypatch):
+        calls = []
+        fresh = np.polynomial.legendre.leggauss
+
+        def counted(quad_nodes):
+            calls.append(quad_nodes)
+            return fresh(quad_nodes)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        monkeypatch.setattr(control, "_GAUSS_RULES", {}, raising=False)
+        method, u0 = make_method("strang"), np.array([1.0 + 0j])
+        cold, warm = [
+            local_error_integral_oracle(ToySplit(), method, 0.1, u0, quad_nodes=7, ode_steps=16)
+            for _ in range(2)
+        ]
+        assert calls == [7]
+        assert warm.tobytes() == cold.tobytes()
+        for kept, made in zip(control._GAUSS_RULES[7], fresh(7)):
+            assert kept.tobytes() == made.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from symdefect.schemes import (
     MAGNUS4,
     STRANG,
     SplittingScheme,
+    solve_linearized,
     step_cfm,
     step_exp_midpoint,
     step_implicit_midpoint,
@@ -806,6 +807,92 @@ class TestCorrectedScheme:
             corrected = u_next - (tau / 3.0) * d
             errs.append(np.linalg.norm(corrected - nls.exact_state(tau)))
         assert abs(fit_slope(taus, errs) - 5.0) <= 0.15
+
+
+def _linear_derivative(method, problem, t0, tau, u, v):
+    # a linear step is its own derivative
+    return method.step(problem, t0, tau, v)
+
+
+def _splitting_derivative(scheme):
+    def apply(method, problem, t0, tau, u, v):
+        # flow_A is linear, so it moves the stack (v, u) row by row; each B-flow
+        # moves v by its derivative at the stage state
+        pair = np.array((v, u))
+        for aj, bj in zip(scheme.a, scheme.b):
+            pair = problem.flow_A(aj * tau, pair)
+            pair = problem.dflow_B_and_flow(bj * tau, pair[1], pair[0])
+        return pair[0]
+
+    return apply
+
+
+def _imr_derivative(method, problem, t0, tau, u, v):
+    # w = u + tau F(m), m = (u + w)/2, so dw = M^-1 (I + (tau/2) F'(m)) du, M = I - (tau/2) F'(m)
+    mid = 0.5 * (u + method.step(problem, t0, tau, u))
+    return solve_linearized(problem.df, mid, tau, v + 0.5 * tau * problem.df(mid, v))
+
+
+# pairing -> (method, problem, its exact dS(t0, tau, u) . v, t0)
+_NLS64, _TOY, _QUADRATIC, _ZENER5 = CubicNLS(n=64), ToySplit(), ScalarQuadratic(), RosenZener(k=5)
+_STRANG, _EMB43AKS = _splitting_derivative(STRANG), _splitting_derivative(EMB43AKS)
+_SYMMETRIC = {
+    "strang-nls64": (make_method("strang"), _NLS64, _STRANG, 0.0),
+    "strang-toy": (make_method("strang"), _TOY, _STRANG, 0.0),
+    "emb43aks-nls64": (make_method("emb43aks"), _NLS64, _EMB43AKS, 0.0),
+    "emb43aks-toy": (make_method("emb43aks"), _TOY, _EMB43AKS, 0.0),
+    "imr-quadratic": (make_method("imr"), _QUADRATIC, _imr_derivative, 0.0),
+    "expmid-hermite-rz5": (make_method("expmid"), _ZENER5, _linear_derivative, 0.3),
+    "expmid-taylor-rz5": (
+        make_method("expmid", variant="taylor"), _ZENER5, _linear_derivative, 0.3),
+    "cf4-hermite-rz5": (make_method("cf4"), _ZENER5, _linear_derivative, 0.3),
+    "magnus4-hermite-rz5": (make_method("magnus4"), _ZENER5, _linear_derivative, 0.3),
+}
+_ASYMMETRIC = {
+    "strang-classical-nls64": (make_method("strang", defect="classical"), _NLS64, _STRANG, 0.0),
+    "strang-classical-toy": (make_method("strang", defect="classical"), _TOY, _STRANG, 0.0),
+    "imr-classical-quadratic": (
+        make_method("imr", defect="classical"), _QUADRATIC, _imr_derivative, 0.0),
+    "cf4-taylor-rz5": (make_method("cf4", variant="taylor"), _ZENER5, _linear_derivative, 0.3),
+    "magnus4-taylor-rz5": (
+        make_method("magnus4", variant="taylor"), _ZENER5, _linear_derivative, 0.3),
+}
+
+
+class TestSymmetryIdentity:
+    """A self-adjoint step, S(t0 + tau, -tau) o S(t0, tau) = id, has a symmetrized
+    defect that satisfies exactly, at every step size,
+
+        D(t0, tau, u) = dS(t0, tau, u) . D(t0 + tau, -tau, S(t0, tau, u)),
+
+    which differentiating the round trip in tau, t0 and u gives: the finite-step
+    form of the symmetry behind the extra order. It checks symmetry, not accuracy.
+    The classical kinds miss it by O(tau) relative to the defect, and so do the
+    Taylor variants of cf4 and magnus4 (by about tau^3), whose ad-series of Bcheck_j
+    is cut at tau^order; the Hermite variants bracket each stage symmetrically."""
+
+    TAUS = (0.5, 0.125, 0.03125)
+
+    @staticmethod
+    def sides(case, tau):
+        method, problem, derivative, t0 = case
+        u = problem.initial_state()
+        u_next, d = method.step_with_defect(problem, t0, tau, u)
+        _, back = method.step_with_defect(problem, t0 + tau, -tau, u_next)
+        return u, d, derivative(method, problem, t0, tau, u, back)
+
+    @pytest.mark.parametrize("pairing", sorted(_SYMMETRIC))
+    def test_symmetrized_defects_satisfy_it_at_every_step_size(self, pairing):
+        for tau in self.TAUS:
+            u, lhs, rhs = self.sides(_SYMMETRIC[pairing], tau)
+            gap = np.linalg.norm(lhs - rhs)
+            assert gap <= 1e-13 * (1.0 + np.linalg.norm(u)), f"{pairing} tau={tau}: {gap:.2e}"
+
+    @pytest.mark.parametrize("pairing", sorted(_ASYMMETRIC))
+    def test_classical_and_taylor_defects_miss_it(self, pairing):
+        _, lhs, rhs = self.sides(_ASYMMETRIC[pairing], 0.125)
+        miss = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
+        assert miss > 1e-6, f"{pairing} tau=0.125: relative miss {miss:.2e}"
 
 
 class TestTheoremOnSeededDraws:
