@@ -87,14 +87,15 @@ class Method:
     """A stepper with a matching defect evaluator and declared order.
 
     Both callables take (problem, t0, tau, u), autonomous steppers ignoring t0;
-    ``step(..., steps=1)`` runs that many steps of tau as one composition, the
-    k-th from t0 + k tau. ``step_with_defect`` returns a :class:`DefectOutput`.
+    ``step(..., steps=1)`` runs that many steps of tau as one composition, the k-th from
+    t0 + k tau. ``step_with_defect`` returns a :class:`DefectOutput`, its defect of kind ``defect``.
     """
 
     name: str
     order: int
     step: Callable
     step_with_defect: Callable
+    defect: str
 
 
 # A family's builder takes (tableau, defect, variant) and returns the pair
@@ -161,7 +162,7 @@ def make_method(name, defect="symmetrized", variant="hermite"):
     if variant not in ("taylor", "hermite"):
         raise ValueError(f"variant must be 'taylor' or 'hermite', got {variant!r}")
     key = (name, defect, variant if build is _cfm else None)
-    return _BUILT.setdefault(key, Method(name, order, *build(tableau, defect, variant)))
+    return _BUILT.setdefault(key, Method(name, order, *build(tableau, defect, variant), defect))
 
 
 def _default_reference_method(problem):
@@ -274,7 +275,7 @@ def _rk4(rhs, y, h, steps):
 
 @np.errstate(over="ignore", invalid="ignore")  # a flow that blows up is checked at the end
 def local_error_integral_oracle(
-    problem, method, tau, u0, kind="symmetrized", quad_nodes=48, ode_steps=512
+    problem, method, tau, u0, kind=None, quad_nodes=48, ode_steps=512
 ):
     """Quadrature evaluation of the integral representation of the local
     error in terms of the defect (validation oracle, small problems only).
@@ -287,11 +288,13 @@ def local_error_integral_oracle(
     derivative dE applied by integrating the variational equation v' = F'(y) v alongside
     y' = F(y), come from ``ode_steps`` RK4 steps taken for all nodes at once: row i of a
     (quad_nodes, 2n) stack runs over node i's duration, so ``problem.f`` and ``problem.df``
-    must act row-wise on a (k, n) stack. The method's defect evaluator runs once per node
-    and must produce the matching defect kind. A non-finite integral raises
-    :class:`ConvergenceFailure`.
+    must act row-wise on a (k, n) stack. The method's defect evaluator runs once per node;
+    ``kind`` defaults to the method's defect kind, and another is a ValueError. A non-finite
+    integral raises :class:`ConvergenceFailure`.
     """
-    share = _share(kind)
+    if kind not in (None, method.defect):
+        raise ValueError(f"kind {kind!r} is not {method.name}'s defect kind {method.defect!r}")
+    share = _share(method.defect)
     for name, value in (("quad_nodes", quad_nodes), ("ode_steps", ode_steps)):
         if not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")

@@ -23,11 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StepFailure
 from .schemes import (
     STRANG,
-    _stage_plans,
     _checked_state,
+    _finite,
+    _stage_plans,
     solve_linearized,
     step_implicit_midpoint,
 )
@@ -52,12 +52,7 @@ def _share(kind):
     return 0.5 if kind == "symmetrized" else 0.0
 
 
-def _checked(u_next, d, family):
-    if not np.isfinite(d).all():
-        raise StepFailure(f"{family} defect is not finite")
-    return DefectOutput(u_next, d)
-
-
+@np.errstate(over="ignore", invalid="ignore")  # the defect is checked
 def imr_defect(problem, tau, u, kind="symmetrized"):
     """Defect of the implicit midpoint rule via linear solves.
 
@@ -73,15 +68,15 @@ def imr_defect(problem, tau, u, kind="symmetrized"):
     u = np.asarray(u, dtype=np.complex128)
     w = step_implicit_midpoint(problem, tau, u)
     mid = 0.5 * (u + w)
-    with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
-        rhs = problem.f(mid)
-        if share:  # the classical kind has no F(u) terms
-            f_u = problem.f(u)
-            rhs = rhs - share * f_u - (0.5 * share) * tau * problem.df(mid, f_u)
-        d = solve_linearized(problem.df, mid, tau, rhs) - (1.0 - share) * problem.f(w)
-    return _checked(w, d, "implicit midpoint")
+    rhs = problem.f(mid)
+    if share:  # the classical kind has no F(u) terms
+        f_u = problem.f(u)
+        rhs = rhs - share * f_u - (0.5 * share) * tau * problem.df(mid, f_u)
+    d = solve_linearized(problem.df, mid, tau, rhs) - (1.0 - share) * problem.f(w)
+    return DefectOutput(w, _finite("implicit midpoint defect", d))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the defect is checked
 def splitting_defect_semilinear(scheme, problem, tau, u, kind="symmetrized"):
     """Defect of a general splitting step on u' = A u + B(u).
 
@@ -95,28 +90,31 @@ def splitting_defect_semilinear(scheme, problem, tau, u, kind="symmetrized"):
     Each B-stage moves it through one ``problem.dflow_B_and_flow`` call, whose
     weight b_j adds b_j B(u) and which returns the moved stack. The trailing
     -(1 - s) B(u_next) closes the defect; the final no-op B-stage (b_J = 0)
-    is skipped. A defect no longer finite (a huge step) fails the step.
+    is skipped. A defect no longer finite (a huge step) fails the step; at tau = 0
+    u_next is a copy of u, as in the plain step, and the defect is exactly zero.
     """
     share = _share(kind)
     if scheme.b[-1] != 0.0:
         raise ValueError(f"scheme {scheme.name!r} must end with a pure A-stage (b_J = 0)")
     u = _checked_state(tau, u)
+    if tau == 0.0:
+        return DefectOutput(u.copy(), np.zeros_like(u))
     last = len(scheme.a) - 1
-    with np.errstate(over="ignore", invalid="ignore"):  # the closed defect is checked
-        du = np.array((-share * problem.b(u), u))
-        for j, (aj, bj) in enumerate(zip(scheme.a, scheme.b)):
-            weight = aj - share * (j == 0) - (1.0 - share) * (j == last)
-            du = problem.flow_A(aj * tau, du, weight)
-            if j < last:
-                du = problem.dflow_B_and_flow(bj * tau, du[1], du[0], bj)
-        d = du[0] - (1.0 - share) * problem.b(du[1])
-    return _checked(du[1], d, "splitting")
+    du = np.array((-share * problem.b(u), u))
+    for j, (aj, bj) in enumerate(zip(scheme.a, scheme.b)):
+        weight = aj - share * (j == 0) - (1.0 - share) * (j == last)
+        du = problem.flow_A(aj * tau, du, weight)
+        if j < last:
+            du = problem.dflow_B_and_flow(bj * tau, du[1], du[0], bj)
+    d = du[0] - (1.0 - share) * problem.b(du[1])
+    return DefectOutput(du[1], _finite("splitting defect", d))
 
 
 # the acceptance gate in tests/test_acceptance.py imports Strang's defect by this name
 strang_defect = partial(splitting_defect_semilinear, STRANG)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # stage vectors and the defect are checked
 def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
     """Symmetrized defect of an exponential step prod_j exp(tau B_j) from
     its stage pairs (B_j, Bcheck_j), see :func:`~symdefect.schemes._stage_plans`.
@@ -135,20 +133,18 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
     """
     if variant not in ("taylor", "hermite"):
         raise ValueError(f"variant must be 'taylor' or 'hermite', got {variant!r}")
-    if not np.isfinite(t0):  # A(t0) is sampled before the stages check their times
-        raise ValueError(f"the step's start t0 must be finite, got t0 = {t0!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # stage vectors and the defect are checked
-        d = -0.5 * (problem.coefficients(t0) @ (problem.generators @ u))  # A(t0) u
-        for bj, plan, bcheck in _stage_plans(scheme, problem, t0, tau, derivatives=True):
-            if variant == "taylor":
-                u = plan.apply(u)
-                d = plan.apply(d) + _gamma_action(bj, bcheck, tau, scheme.order, u)
-            else:
-                d = plan.apply(d + _hermite_action(bj, bcheck, tau, u, -1.0))
-                u = plan.apply(u)
-                d = d + _hermite_action(bj, bcheck, tau, u, 1.0)
-        d = d - 0.5 * (problem.coefficients(t0 + tau) @ (problem.generators @ u))
-    return _checked(u, d, "exponential")
+    u = _checked_state(tau, u, t0=t0)
+    d = -0.5 * (problem.coefficients(t0) @ (problem.generators @ u))  # A(t0) u
+    for bj, plan, bcheck in _stage_plans(scheme, problem, t0, tau, derivatives=True):
+        if variant == "taylor":
+            u = plan.apply(u)
+            d = plan.apply(d) + _gamma_action(bj, bcheck, tau, scheme.order, u)
+        else:
+            d = plan.apply(d + _hermite_action(bj, bcheck, tau, u, -1.0))
+            u = plan.apply(u)
+            d = d + _hermite_action(bj, bcheck, tau, u, 1.0)
+    d = d - 0.5 * (problem.coefficients(t0 + tau) @ (problem.generators @ u))
+    return DefectOutput(u, _finite("exponential defect", d))
 
 
 def _gamma_action(bj, bcheck, tau, order, x):

@@ -2,8 +2,9 @@
 
 All steppers are pure functions of their arguments, run ``steps`` steps of tau
 and return the state unchanged for tau = 0. Autonomous ones take (problem, tau,
-u, steps=1), the others also t0; a tau that is not finite, or a ``steps``
-that is not a positive integer, is a ValueError.
+u, steps=1), the others also t0. They and the defect evaluators fail alike, without numpy
+warnings: bad arguments with a ValueError (_checked_state), a non-finite state or result with
+a StepFailure (_checked_state, _finite).
 """
 
 import math
@@ -123,17 +124,24 @@ def solve_linearized(df, base, tau, rhs):
     return sol[:n] + 1j * sol[n:]
 
 
-def _checked_state(tau, u, steps=1):
-    """u as complex128 once tau is finite, ``steps`` a positive integer (else a ValueError)
-    and u finite (else a StepFailure)."""
-    if not math.isfinite(tau):
-        raise ValueError(f"step size must be finite, got tau = {tau!r}")
+def _checked_state(tau, u, steps=1, t0=0.0):
+    """u as complex128 once ``steps`` is a positive integer and the run's end t0 + steps*tau
+    is finite (else a ValueError), and u finite (else a StepFailure)."""
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    if not math.isfinite(t0 + steps * tau):  # NaN too: math.cos(inf) is a bare domain error
+        raise ValueError("step size must be finite, and so must the step's start t0 and end; "
+                         f"got t0 = {t0!r}, tau = {tau!r}")
     u = np.asarray(u, dtype=np.complex128)
     if not np.isfinite(u).all():
         raise StepFailure("the state to step is not finite")
     return u
+
+
+def _finite(what, x):  # x, or a StepFailure where a step's or defect's result overflowed
+    if not np.isfinite(x).all():
+        raise StepFailure(f"{what} is not finite")
+    return x
 
 
 def _norm(v):
@@ -174,6 +182,7 @@ def step_implicit_midpoint(problem, tau, u, steps=1):
     return u
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the result is checked
 def step_splitting(scheme, problem, tau, u, steps=1):
     """``steps`` steps of a splitting composition, A-flow first. An A-flow with no B-flow
     after it (b_J = 0) joins the next step's first, so ``problem.flow_A`` must compose exactly."""
@@ -186,15 +195,19 @@ def step_splitting(scheme, problem, tau, u, steps=1):
         if bj:
             u = problem.flow_B(bj * tau, problem.flow_A(pending * tau, u))
             pending = 0.0
-    return problem.flow_A(pending * tau, u) if pending else u
+    return _finite("splitting step", problem.flow_A(pending * tau, u) if pending else u)
 
 
-def _stage_coefficients(scheme, problem, t0, tau, derivatives):
-    # per stage the coefficients of B_j and Bcheck_j (or None) over the basis, summed on
-    # Python floats: they round as numpy's elementwise operations do, at far less cost
-    if not math.isfinite(t0 + tau):  # t0, tau or their sum: math.cos(inf) is a bare domain error
-        raise ValueError("step size must be finite, and so must the step's start t0 and end; "
-                         f"got t0 = {t0!r}, tau = {tau!r}")
+def _stage_plans(scheme, problem, t0, tau, derivatives=False):
+    """Per stage ``problem.stage``: (B_j, ExpmPlan of tau B_j, Bcheck_j) on a
+    LinearFamily, from coefficients sampled once per node, with
+    B_j = sum_k a[j][k] A_k + g_j tau [A_1, A_2] and, with ``derivatives``,
+    Bcheck_j = (d/dtau - (1/2) d/dt0) B_j
+             = sum_k a[j][k] (c_k - 1/2) A'_k
+               + g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
+                                 + tau (c_2 - 1/2) [A_1, A'_2]),
+    or None where it vanishes identically (or without ``derivatives``)."""
+    # coefficients over the basis, summed on Python floats: they round as numpy's sums, cheaper
     times = [t0 + ck * tau for ck in scheme.nodes]
     coeffs = [problem.coefficients(t).tolist() for t in times]
     shifts = [ck - 0.5 for ck in scheme.nodes]
@@ -216,31 +229,19 @@ def _stage_coefficients(scheme, problem, t0, tau, derivatives):
                         tail = [x + (tau * s) * y for x, y in zip(tail, problem.bracket(*pair))]
                 check += [gj * x for x in tail]
             check = np.array(check)
-        yield np.array(head + [gj * tau * x for x in comm] if gj else head), check
+        yield problem.stage(np.array(head + [gj * tau * x for x in comm] if gj else head), tau, check)
 
 
-def _stage_plans(scheme, problem, t0, tau, derivatives=False):
-    """Per stage ``problem.stage``: (B_j, ExpmPlan of tau B_j, Bcheck_j) on a
-    LinearFamily, from coefficients sampled once per node, with
-    B_j = sum_k a[j][k] A_k + g_j tau [A_1, A_2] and, with ``derivatives``,
-    Bcheck_j = (d/dtau - (1/2) d/dt0) B_j
-             = sum_k a[j][k] (c_k - 1/2) A'_k
-               + g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
-                                 + tau (c_2 - 1/2) [A_1, A'_2]),
-    or None where it vanishes identically (or without ``derivatives``)."""
-    for b, c in _stage_coefficients(scheme, problem, t0, tau, derivatives):
-        yield problem.stage(b, tau, c)
-
-
+@np.errstate(over="ignore", invalid="ignore")  # the result is checked
 def step_cfm(scheme, problem, t0, tau, u, steps=1):
     """``steps`` steps of an exponential scheme's tableau, the k-th from t0 + k tau."""
-    u = _checked_state(tau, u, steps)
+    u = _checked_state(tau, u, steps, t0)
     if tau == 0.0:
         return u.copy()
     for k in range(steps):
         for _, plan, _ in _stage_plans(scheme, problem, t0 + k * tau, tau):
             u = plan.apply(u)
-    return u
+    return _finite("exponential step", u)
 
 
 step_exp_midpoint = partial(step_cfm, EXPMID_AS_CFM)  # exp(tau A(t0 + tau/2)) u, second order

@@ -359,6 +359,26 @@ class RandomFamily(LinearFamily):
         return np.ones(self.dim, dtype=np.complex128)
 
 
+class GrowingFamily(LinearFamily):
+    """u' = A(t) u with A(t) = diag(5, 1) + t N, N = [[0, 1], [0, 0]] nilpotent:
+    not skew, so the state grows like exp(5 t) and a long step overflows."""
+
+    norm_weight = 1.0
+    dim = 2
+
+    def __init__(self):
+        super().__init__([np.diag([5.0, 1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+    def coefficients(self, t):
+        return np.array((1.0, t))
+
+    def dcoefficients(self, t):
+        return np.array((0.0, 1.0))
+
+    def initial_state(self):
+        return np.ones(self.dim, dtype=np.complex128)
+
+
 class ZeroGeneratorFamily(RandomFamily):
     """RandomFamily with G_1 = 0, so the brackets [G_0, G_1] and [G_1, G_2]
     vanish too: basis matrices with no support of their own."""
@@ -396,7 +416,7 @@ def stage_coefficients_numpy(scheme, problem, t0, tau, derivatives):
     """Per stage the coefficient vectors (b, c) of B_j and Bcheck_j (c None
     where it vanishes) as numpy sums over the sampled coefficient arrays, the
     brackets of pairs p < q as x[p] y[q] - x[q] y[p] over ``np.triu_indices``:
-    the bits ``schemes._stage_coefficients`` must give on Python floats."""
+    the bits ``schemes._stage_plans`` must hand ``problem.stage``, summed on Python floats."""
     p, q = np.triu_indices(len(problem.generators), 1)
 
     def bracket(x, y):

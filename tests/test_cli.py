@@ -123,7 +123,7 @@ class TestStudies:
         def boom(problem, t0, tau, u):
             raise StepFailure("pole")
 
-        method = Method("boom", 2, boom, boom)
+        method = Method("boom", 2, boom, boom, "symmetrized")
         rows = run_local_study(toy, method, [0.1, 0.05])
         assert all(row.failed for row in rows)
         assert all(math.isnan(row.err_norm) for row in rows)
@@ -154,7 +154,8 @@ class TestGlobalStudySharesReference:
 
     @staticmethod
     def unshared(method):
-        return Method(method.name, method.order, method.step, method.step_with_defect)
+        return Method(method.name, method.order, method.step, method.step_with_defect,
+                      method.defect)
 
     # CubicNLS(n=64)'s reference stops at 16 steps, so the ladder's 32 is run
     # again; RosenZener(k=3)'s stops at 32, leaving 64

@@ -3,10 +3,11 @@
 import math
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symdefect import control
@@ -30,6 +31,8 @@ from symdefect.problems import CubicNLS, RosenZener, ToySplit
 
 from oracles import (
     ConstantLinear,
+    GrowingFamily,
+    RandomFamily,
     ScalarQuadratic,
     ZeroField,
     fit_slope,
@@ -116,8 +119,9 @@ class TestMakeMethod:
         }[method_needs(name)]
         method = make_method(name, defect=defect, variant=variant)
         u0 = problem.initial_state()
-        u_next, _ = method.step_with_defect(problem, 0.1, 0.05, u0)
-        assert np.array_equal(u_next, method.step(problem, 0.1, 0.05, u0))
+        for tau in (0.05, 0.0):  # at 0.0 the splitting defect ran an FFT round trip
+            u_next, _ = method.step_with_defect(problem, 0.1, tau, u0)
+            assert u_next.tobytes() == method.step(problem, 0.1, tau, u0).tobytes()
 
 
 class TestMultiStepRun:
@@ -176,6 +180,67 @@ class TestNonFiniteStepSize:
                 if method_needs(name) != "coefficients":  # the problem is never touched
                     with pytest.raises(ValueError, match="step size must be finite"):
                         call(object())
+
+    @pytest.mark.parametrize("name, defect, variant", _CLI_METHODS)
+    def test_an_overflowing_run_end_is_a_value_error(self, name, defect, variant):
+        # a finite tau whose end t0 + steps*tau overflows used to run on to a StepFailure
+        # (imr), a NaN state (splitting) or a ValueError after the first step (exponential)
+        method = make_method(name, defect=defect, variant=variant)
+        for problem in _FAMILY_PROBLEMS[method_needs(name)]:
+            with pytest.raises(ValueError, match="step size must be finite"):
+                method.step(problem, 0.1, 1e308, problem.initial_state(), 3)
+
+
+# every pairing make_method allows, (name, defect, variant, problem), on small problems;
+# GrowingFamily is not skew, so its steps overflow where the others stay bounded
+_CONTRACT_PROBLEMS = (ToySplit(), CubicNLS(n=16), RosenZener(k=2),
+                      RandomFamily(np.random.default_rng(15), 3), GrowingFamily())
+_PAIRINGS = [(*method, problem) for method in _CLI_METHODS for problem in _CONTRACT_PROBLEMS
+             if hasattr(problem, method_needs(method[0]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairing=st.sampled_from(_PAIRINGS),
+    t0=st.sampled_from([0.0, 0.3, 1e300, math.nan]),
+    tau=st.sampled_from([0.0, 1e-300, -1e-300, 0.1, -0.1, 50.0, -800.0, 1e300, -1e300,
+                         math.nan, math.inf]),
+    steps=st.sampled_from([1, 3]),
+    scale=st.sampled_from([1.0, 1e150, 1e300, 1e-300, math.nan]),  # NaN: one NaN entry
+)
+# Strang on ToySplit at tau = -1e300 printed 4 RuntimeWarnings and returned NaN; cf4 on
+# GrowingFamily at tau = 200 warned of a matmul overflow and returned inf and NaN
+@example(pairing=("strang", "symmetrized", "hermite", ToySplit()), t0=0.0, tau=-1e300,
+         steps=1, scale=1.0)
+@example(pairing=("cf4", "symmetrized", "hermite", GrowingFamily()), t0=0.0, tau=200.0,
+         steps=1, scale=1.0)
+def test_step_contract(pairing, t0, tau, steps, scale):
+    """Every step and step with its defect gives finite arrays of the state's shape or
+    raises StepFailure, ValueError or ConvergenceFailure, without a numpy warning and
+    within a second; where both succeed, the defect's u_next is bitwise the step."""
+    name, defect, variant, problem = pairing
+    method = make_method(name, defect=defect, variant=variant)
+    u = problem.initial_state()
+    if math.isnan(scale):
+        u[-1] = math.nan
+    else:
+        u = scale * u
+    outcomes = []
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: (method.step(problem, t0, tau, u, steps),),
+                     lambda: method.step_with_defect(problem, t0, tau, u)):
+            try:
+                outcomes.append(call())
+            except (StepFailure, ValueError, ConvergenceFailure):
+                outcomes.append(None)
+    assert time.perf_counter() - start < 1.0
+    for arrays in filter(None, outcomes):
+        for v in arrays:
+            assert v.shape == u.shape and np.isfinite(v).all()
+    if steps == 1 and None not in outcomes:
+        assert outcomes[1].u_next.tobytes() == outcomes[0][0].tobytes()
 
 
 class TestStepCount:
@@ -536,6 +601,15 @@ class TestIntegralOracle:
             local_error_integral_oracle(
                 ScalarQuadratic(), make_method("imr"), 0.1, np.ones(1, complex), kind="x"
             )
+        # the kind defaults to the method's; another used to give a wrong integral, 2.5e-7
+        # from the local error for Strang on ToySplit at tau = 0.1 (1e-16 with matching kinds)
+        for name in ("imr", "strang"):
+            for defect, other in (("classical", "symmetrized"), ("symmetrized", "classical")):
+                oracle = partial(local_error_integral_oracle, ToySplit(), make_method(name, defect=defect),
+                                 0.1, np.ones(1, complex), quad_nodes=4, ode_steps=8)
+                assert oracle().tobytes() == oracle(kind=defect).tobytes()
+                with pytest.raises(ValueError, match="defect kind"):
+                    oracle(kind=other)
 
     @pytest.mark.parametrize(
         "discretisation",
@@ -576,8 +650,8 @@ class TestController:
         toy = ToySplit()
         cfg = AdaptiveConfig(tol=1e-8, tau_init=0.1, tau_min=1e-10, tau_max=0.5)
         with pytest.raises(ValueError, match="need finite t0 <= t_end"):
-            adaptive_integrate(toy, Method("none", 2, no_trial, no_trial), cfg, t0, t_end,
-                               toy.initial_state())
+            adaptive_integrate(toy, Method("none", 2, no_trial, no_trial, "symmetrized"), cfg,
+                               t0, t_end, toy.initial_state())
 
     def test_empty_interval_takes_no_trial(self):
         toy = ToySplit()
@@ -669,7 +743,7 @@ class TestController:
             assert len(trials) < 1000, "controller does not terminate"
             return u, np.full_like(u, np.nan)
 
-        method = Method("nan", 2, nan_defect, nan_defect)
+        method = Method("nan", 2, nan_defect, nan_defect, "symmetrized")
         cfg = AdaptiveConfig(tol=1e-6, tau_init=0.1, tau_min=1e-10, tau_max=0.5)
         with pytest.raises(StepFailure):
             adaptive_integrate(toy, method, cfg, 0.0, 1.0, toy.initial_state())
@@ -682,7 +756,7 @@ class TestController:
                 raise StepFailure("step too large")
             return u, np.zeros_like(u)
 
-        method = Method("fragile", 2, fragile, fragile)
+        method = Method("fragile", 2, fragile, fragile, "symmetrized")
         cfg = AdaptiveConfig(tol=1e-6, tau_init=0.1, tau_min=1e-10, tau_max=0.5)
         _, trace = adaptive_integrate(toy, method, cfg, 0.0, 1.0, toy.initial_state())
         accepted = [rec for rec in trace if rec.accepted]
@@ -700,7 +774,7 @@ class TestController:
             assert len(trials) < 100, "controller does not give up"
             raise StepFailure("pole")
 
-        method = Method("broken", 2, broken, broken)
+        method = Method("broken", 2, broken, broken, "symmetrized")
         cfg = AdaptiveConfig(tol=1e-6, tau_init=0.1, tau_min=1e-10, tau_max=0.5)
         with pytest.raises(StepFailure):
             adaptive_integrate(toy, method, cfg, 0.0, 1.0, toy.initial_state())
@@ -828,7 +902,7 @@ def test_controller_terminates_on_any_defect_sequence(script, tau_init):
             raise StepFailure("scripted failure")
         return u, np.full_like(u, value)
 
-    method = Method("scripted", 2, scripted, scripted)
+    method = Method("scripted", 2, scripted, scripted, "symmetrized")
     cfg = AdaptiveConfig(tol=1e-6, tau_init=tau_init, tau_min=1e-10, tau_max=0.5)
     try:
         _, trace = adaptive_integrate(toy, method, cfg, 0.0, 1.0, toy.initial_state())
