@@ -21,6 +21,7 @@ from .schemes import (
     EXPMID_AS_CFM,
     MAGNUS4,
     STRANG,
+    _checked_tau,
     step_cfm,
     step_implicit_midpoint,
     step_splitting,
@@ -98,23 +99,26 @@ class Method:
     defect: str
 
 
-# A family's builder takes (tableau, defect, variant) and returns the pair
-# (step, step_with_defect), both taking (problem, t0, tau, u), step also steps=1.
-# The pair looks the package functions up when called, so wrappers installed on
-# the module attributes see every call.
+# A family's builder takes (tableau, defect, variant) and returns the pair (step,
+# step_with_defect), both taking (problem, t0, tau, u), step also steps=1; an autonomous
+# pair checks the t0 it drops as step_cfm does. The pair looks the package functions up
+# when called, so wrappers installed on the module attributes see every call.
 
 
 def _implicit_midpoint(tableau, defect, variant):
     return (
-        lambda p, t0, tau, u, steps=1: step_implicit_midpoint(p, tau, u, steps),
-        lambda p, t0, tau, u: imr_defect(p, tau, u, kind=defect),
+        lambda p, t0, tau, u, steps=1: step_implicit_midpoint(
+            p, _checked_tau(tau, steps, t0), u, steps),
+        lambda p, t0, tau, u: imr_defect(p, _checked_tau(tau, 1, t0), u, kind=defect),
     )
 
 
 def _splitting(scheme, defect, variant):
     return (
-        lambda p, t0, tau, u, steps=1: step_splitting(scheme, p, tau, u, steps),
-        lambda p, t0, tau, u: splitting_defect_semilinear(scheme, p, tau, u, kind=defect),
+        lambda p, t0, tau, u, steps=1: step_splitting(
+            scheme, p, _checked_tau(tau, steps, t0), u, steps),
+        lambda p, t0, tau, u: splitting_defect_semilinear(
+            scheme, p, _checked_tau(tau, 1, t0), u, kind=defect),
     )
 
 

@@ -27,7 +27,6 @@ from .schemes import (
     STRANG,
     _checked_state,
     _finite,
-    _stage_plans,
     solve_linearized,
     step_implicit_midpoint,
 )
@@ -117,7 +116,7 @@ strang_defect = partial(splitting_defect_semilinear, STRANG)
 @np.errstate(over="ignore", invalid="ignore")  # stage vectors and the defect are checked
 def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
     """Symmetrized defect of an exponential step prod_j exp(tau B_j) from
-    its stage pairs (B_j, Bcheck_j), see :func:`~symdefect.schemes._stage_plans`.
+    its stage pairs (B_j, Bcheck_j), see :meth:`~symdefect.problems.LinearFamily.stages`.
 
     Both variants accumulate d = -A(t0) u / 2 through the stage exponentials
     and close with -A(t0 + tau) u / 2. The Taylor variant adds Gamma_j u
@@ -135,7 +134,7 @@ def cfm_defect(scheme, problem, t0, tau, u, variant="hermite"):
         raise ValueError(f"variant must be 'taylor' or 'hermite', got {variant!r}")
     u = _checked_state(tau, u, t0=t0)
     d = -0.5 * (problem.coefficients(t0) @ (problem.generators @ u))  # A(t0) u
-    for bj, plan, bcheck in _stage_plans(scheme, problem, t0, tau, derivatives=True):
+    for bj, plan, bcheck in problem.stages(scheme, t0, tau, derivatives=True):
         if variant == "taylor":
             u = plan.apply(u)
             d = plan.apply(d) + _gamma_action(bj, bcheck, tau, scheme.order, u)

@@ -162,9 +162,9 @@ class LinearFamily:
     generators. A subclass passes the (m, n, n) stack G_m and supplies
     ``coefficients(t)`` = (c_m(t)) and ``dcoefficients(t)`` = (c_m'(t)).
     ``basis`` stacks the generators and their brackets [G_p, G_q], p < q,
-    formed once here, so a stage generator is one :meth:`combination`. Its
+    formed once here, so a stage generator is one combination of them. Its
     support, the entries where any basis matrix is nonzero, is found once
-    too: a combination is written on the support only, and :meth:`stage`
+    too: a combination is written on the support only, and :meth:`stages`
     writes into slots that stay zero off it."""
 
     def __init__(self, generators):
@@ -185,12 +185,7 @@ class LinearFamily:
         self._support = np.flatnonzero(flat.any(axis=0))  # row-major flat indices
         self._values = flat.take(self._support, axis=1)  # (len(basis), support size)
         self._columns = self._support % n
-        self._slots = threading.local()  # each thread's stage slots, see stage
-
-    def bracket(self, x, y):
-        """Coefficients over the brackets of [sum_m x_m G_m, sum_m y_m G_m], a
-        list from the float sequences x and y."""
-        return [x[p] * y[q] - x[q] * y[p] for p, q in self._pairs]
+        self._slots = threading.local()  # each thread's stage slots, see stages
 
     def combination(self, coef):
         """sum_b coef_b basis_b over the first len(coef) basis matrices, fresh."""
@@ -198,24 +193,52 @@ class LinearFamily:
         np.put(out, self._support, coef @ self._values[: len(coef)])
         return out
 
-    def stage(self, b, tau, c=None):
-        """(B_j, ExpmPlan of tau B_j, Bcheck_j or None) for the combinations B_j
-        of b and Bcheck_j of c, written on the support into n x n slots kept per
-        thread, zero from its first stage on and overwritten by its next. The
-        plan's 1-norm is bit for bit np.abs(tau B_j).sum(axis=0).max(): the
-        column sums add their support entries in row order, as that sum does."""
-        slots = getattr(self._slots, "slots", None)
-        if slots is None:
-            slots = self._slots.slots = np.zeros((3, *self.basis.shape[1:]), complex)
-        bj, scaled, check = slots
-        values = b @ self._values[: len(b)]
-        np.put(bj, self._support, values)
-        values = np.multiply(values, tau)
-        np.put(scaled, self._support, values)
-        norm = float(np.bincount(self._columns, np.abs(values), minlength=len(bj)).max())
-        if c is not None:
-            np.put(check, self._support, c @ self._values[: len(c)])
-        return bj, ExpmPlan(scaled, norm), None if c is None else check
+    def stages(self, scheme, t0, tau, derivatives=False):
+        """Per stage of the exponential tableau ``scheme``: (B_j, ExpmPlan(tau B_j), Bcheck_j), with
+        B_j = sum_k a[j][k] A_k + g_j tau [A_1, A_2] and, with ``derivatives``,
+        Bcheck_j = (d/dtau - (1/2) d/dt0) B_j
+                 = sum_k a[j][k] (c_k - 1/2) A'_k
+                   + g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
+                                     + tau (c_2 - 1/2) [A_1, A'_2]),
+        else None (also where it vanishes identically). Coefficients sampled once per node and
+        summed on Python floats (they round as numpy's sums, cheaper) are combined on the
+        support into n x n slots kept per thread, zero from its first stage on and overwritten
+        by its next. The plan's 1-norm is bit for bit np.abs(tau B_j).sum(axis=0).max(): the
+        column sums add their support entries in row order. tau B_j overflowing is a StepFailure."""
+        if not hasattr(self._slots, "slots"):
+            self._slots.slots = np.zeros((3, *self.basis.shape[1:]), complex)
+        bj, scaled, check = self._slots.slots
+
+        def bracket(x, y):  # coefficients of [sum_m x_m G_m, sum_m y_m G_m] over the brackets
+            return [x[p] * y[q] - x[q] * y[p] for p, q in self._pairs]
+
+        times = [t0 + ck * tau for ck in scheme.nodes]
+        coeffs = [self.coefficients(t).tolist() for t in times]
+        shifts = [ck - 0.5 for ck in scheme.nodes]
+        g = scheme.commutators or (0.0,) * len(scheme.weights)
+        slopes = [self.dcoefficients(t).tolist() if derivatives and sk else None
+                  for t, sk in zip(times, shifts)]
+        comm = bracket(coeffs[0], coeffs[1]) if any(g) else None  # [A_1, A_2]
+        for row, gj in zip(scheme.weights, g):
+            head = [sum(ajk * c for ajk, c in zip(row, column)) for column in zip(*coeffs)]
+            b = np.array(head + [gj * tau * x for x in comm] if gj else head)
+            np.put(bj, self._support, values := b @ self._values[: len(b)])
+            np.put(scaled, self._support, values := np.multiply(values, tau))
+            norm = float(np.bincount(self._columns, np.abs(values), minlength=len(bj)).max())
+            if not norm < math.inf:  # NaN too
+                raise StepFailure(f"exponential stage is not finite at t0 = {t0!r}, tau = {tau!r}")
+            bcheck, weights = None, [ajk * sk for ajk, sk in zip(row, shifts)]
+            if derivatives and (gj or any(weights)):
+                terms = [(w, dk) for w, dk in zip(weights, slopes) if w]
+                dcoef = [sum((w * dk[i] for w, dk in terms), 0.0) for i in range(len(head))]
+                if gj:
+                    tail, (c1, c2), (s1, s2), (d1, d2) = comm, coeffs, shifts, slopes
+                    for s, pair in ((s1, (d1, c2)), (s2, (c1, d2))):
+                        if s:
+                            tail = [x + (tau * s) * y for x, y in zip(tail, bracket(*pair))]
+                    dcoef += [gj * x for x in tail]
+                np.put(bcheck := check, self._support, np.array(dcoef) @ self._values[: len(dcoef)])
+            yield bj, ExpmPlan(scaled, norm), bcheck
 
     def A(self, t):
         return self.combination(self.coefficients(t))

@@ -3,8 +3,8 @@
 All steppers are pure functions of their arguments, run ``steps`` steps of tau
 and return the state unchanged for tau = 0. Autonomous ones take (problem, tau,
 u, steps=1), the others also t0. They and the defect evaluators fail alike, without numpy
-warnings: bad arguments with a ValueError (_checked_state), a non-finite state or result with
-a StepFailure (_checked_state, _finite).
+warnings: bad arguments with a ValueError (_checked_state, _checked_tau), a non-finite state or
+result with a StepFailure (_checked_state, _finite, LinearFamily.stages).
 """
 
 import math
@@ -124,18 +124,20 @@ def solve_linearized(df, base, tau, rhs):
     return sol[:n] + 1j * sol[n:]
 
 
-def _checked_state(tau, u, steps=1, t0=0.0):
-    """u as complex128 once ``steps`` is a positive integer and the run's end t0 + steps*tau
-    is finite (else a ValueError), and u finite (else a StepFailure)."""
+def _checked_tau(tau, steps=1, t0=0.0):
+    """tau once ``steps`` is a positive integer and the run's end t0 + steps*tau is finite."""
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if not math.isfinite(t0 + steps * tau):  # NaN too: math.cos(inf) is a bare domain error
         raise ValueError("step size must be finite, and so must the step's start t0 and end; "
                          f"got t0 = {t0!r}, tau = {tau!r}")
-    u = np.asarray(u, dtype=np.complex128)
-    if not np.isfinite(u).all():
-        raise StepFailure("the state to step is not finite")
-    return u
+    return tau
+
+
+def _checked_state(tau, u, steps=1, t0=0.0):
+    """u as complex128 once _checked_tau passes, and u finite (else a StepFailure)."""
+    _checked_tau(tau, steps, t0)
+    return _finite("the state to step", np.asarray(u, dtype=np.complex128))
 
 
 def _finite(what, x):  # x, or a StepFailure where a step's or defect's result overflowed
@@ -198,40 +200,6 @@ def step_splitting(scheme, problem, tau, u, steps=1):
     return _finite("splitting step", problem.flow_A(pending * tau, u) if pending else u)
 
 
-def _stage_plans(scheme, problem, t0, tau, derivatives=False):
-    """Per stage ``problem.stage``: (B_j, ExpmPlan of tau B_j, Bcheck_j) on a
-    LinearFamily, from coefficients sampled once per node, with
-    B_j = sum_k a[j][k] A_k + g_j tau [A_1, A_2] and, with ``derivatives``,
-    Bcheck_j = (d/dtau - (1/2) d/dt0) B_j
-             = sum_k a[j][k] (c_k - 1/2) A'_k
-               + g_j ([A_1, A_2] + tau (c_1 - 1/2) [A'_1, A_2]
-                                 + tau (c_2 - 1/2) [A_1, A'_2]),
-    or None where it vanishes identically (or without ``derivatives``)."""
-    # coefficients over the basis, summed on Python floats: they round as numpy's sums, cheaper
-    times = [t0 + ck * tau for ck in scheme.nodes]
-    coeffs = [problem.coefficients(t).tolist() for t in times]
-    shifts = [ck - 0.5 for ck in scheme.nodes]
-    g = scheme.commutators or (0.0,) * len(scheme.weights)
-    slopes = [problem.dcoefficients(t).tolist() if derivatives and sk else None
-              for t, sk in zip(times, shifts)]
-    comm = problem.bracket(coeffs[0], coeffs[1]) if any(g) else None  # [A_1, A_2]
-    for row, gj in zip(scheme.weights, g):
-        head = [sum(ajk * c for ajk, c in zip(row, column)) for column in zip(*coeffs)]
-        check, weights = None, [ajk * sk for ajk, sk in zip(row, shifts)]
-        if derivatives and (gj or any(weights)):
-            terms = [(w, dk) for w, dk in zip(weights, slopes) if w]
-            check = [sum((w * dk[i] for w, dk in terms), 0.0) for i in range(len(head))]
-            if gj:
-                (c1, c2), (s1, s2), (d1, d2) = coeffs, shifts, slopes
-                tail = comm
-                for s, pair in ((s1, (d1, c2)), (s2, (c1, d2))):
-                    if s:
-                        tail = [x + (tau * s) * y for x, y in zip(tail, problem.bracket(*pair))]
-                check += [gj * x for x in tail]
-            check = np.array(check)
-        yield problem.stage(np.array(head + [gj * tau * x for x in comm] if gj else head), tau, check)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the result is checked
 def step_cfm(scheme, problem, t0, tau, u, steps=1):
     """``steps`` steps of an exponential scheme's tableau, the k-th from t0 + k tau."""
@@ -239,7 +207,7 @@ def step_cfm(scheme, problem, t0, tau, u, steps=1):
     if tau == 0.0:
         return u.copy()
     for k in range(steps):
-        for _, plan, _ in _stage_plans(scheme, problem, t0 + k * tau, tau):
+        for _, plan, _ in problem.stages(scheme, t0 + k * tau, tau):
             u = plan.apply(u)
     return _finite("exponential step", u)
 

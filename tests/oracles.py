@@ -11,7 +11,7 @@ import numpy as np
 
 from symdefect.linalg import commutator, fft, ifft
 from symdefect.problems import LinearFamily
-from symdefect.schemes import _stage_plans, solve_linearized, step_implicit_midpoint
+from symdefect.schemes import solve_linearized, step_implicit_midpoint
 
 
 def naive_dft(v):
@@ -379,6 +379,19 @@ class GrowingFamily(LinearFamily):
         return np.ones(self.dim, dtype=np.complex128)
 
 
+class MatrixUnitFamily(RandomFamily):
+    """RandomFamily's coefficients over the matrix units E_01, E_12 and E_20, whose
+    brackets E_02, -E_21 and E_10 sit on three more entries: each basis matrix has
+    one entry of modulus 1 that no other has, so a stage matrix holds its
+    coefficient vector there bit for bit (signed zeros aside)."""
+
+    def __init__(self):
+        units = np.zeros((3, 3, 3))
+        units[0, 0, 1] = units[1, 1, 2] = units[2, 2, 0] = 1.0
+        LinearFamily.__init__(self, units)
+        self.dim = 3
+
+
 class ZeroGeneratorFamily(RandomFamily):
     """RandomFamily with G_1 = 0, so the brackets [G_0, G_1] and [G_1, G_2]
     vanish too: basis matrices with no support of their own."""
@@ -399,16 +412,16 @@ def dense_combination(family, coef):
 
 def dense_norm_1(m):
     """The 1-norm as dense column sums of |m|: the bits ``ExpmPlan`` computes
-    and ``LinearFamily.stage`` sums over the support."""
+    and ``LinearFamily.stages`` sums over the support."""
     return float(np.abs(m).sum(axis=0).max())
 
 
 def stage_matrices(scheme, problem, t0, tau, derivatives=False):
     """Copies of the stage matrices the exponential steps run on: B_j, or
-    the pairs (B_j, Bcheck_j) with ``derivatives``, as ``_stage_plans``
+    the pairs (B_j, Bcheck_j) with ``derivatives``, as ``LinearFamily.stages``
     writes them into the family's stage slots (not an independent oracle)."""
     stages = [(bj.copy(), None if bcheck is None else bcheck.copy())
-              for bj, _, bcheck in _stage_plans(scheme, problem, t0, tau, derivatives)]
+              for bj, _, bcheck in problem.stages(scheme, t0, tau, derivatives)]
     return stages if derivatives else [bj for bj, _ in stages]
 
 
@@ -416,7 +429,7 @@ def stage_coefficients_numpy(scheme, problem, t0, tau, derivatives):
     """Per stage the coefficient vectors (b, c) of B_j and Bcheck_j (c None
     where it vanishes) as numpy sums over the sampled coefficient arrays, the
     brackets of pairs p < q as x[p] y[q] - x[q] y[p] over ``np.triu_indices``:
-    the bits ``schemes._stage_plans`` must hand ``problem.stage``, summed on Python floats."""
+    the bits ``LinearFamily.stages`` must combine, which it sums on Python floats."""
     p, q = np.triu_indices(len(problem.generators), 1)
 
     def bracket(x, y):

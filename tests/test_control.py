@@ -16,6 +16,7 @@ from symdefect.control import (
     AdaptiveConfig,
     Method,
     StepOutput,
+    StepRecord,
     adaptive_integrate,
     estimate_and_correct,
     estimator_scale,
@@ -27,6 +28,7 @@ from symdefect.control import (
     state_norm,
 )
 from symdefect.errors import ConvergenceFailure, StepFailure
+from symdefect.linalg import ExpmPlan
 from symdefect.problems import CubicNLS, RosenZener, ToySplit
 
 from oracles import (
@@ -189,6 +191,59 @@ class TestNonFiniteStepSize:
         for problem in _FAMILY_PROBLEMS[method_needs(name)]:
             with pytest.raises(ValueError, match="step size must be finite"):
                 method.step(problem, 0.1, 1e308, problem.initial_state(), 3)
+
+    @pytest.mark.parametrize("t0, tau, steps", [(math.nan, 0.1, 1), (math.inf, 0.1, 3),
+                                                (-math.inf, 0.0, 1), (1e308, 1e308, 1),
+                                                (-1e308, -1e308, 3)],
+                             ids=["nan", "inf", "-inf-tau-0", "end-inf", "end--inf"])
+    @pytest.mark.parametrize("name, defect, variant", _CLI_METHODS)
+    def test_a_non_finite_start_or_end_is_a_value_error(self, name, defect, variant, t0, tau,
+                                                         steps):
+        # imr, strang and emb43aks dropped t0 unchecked: they stepped from a NaN or infinite
+        # t0, and strang over a run end t0 + steps*tau that overflows
+        method = make_method(name, defect=defect, variant=variant)
+        for problem in _FAMILY_PROBLEMS[method_needs(name)]:
+            u0 = problem.initial_state()
+            for call in (lambda: method.step(problem, t0, tau, u0, steps),
+                         lambda: method.step_with_defect(problem, t0, tau, u0)):
+                with pytest.raises(ValueError, match="step size must be finite"):
+                    call()
+
+
+class TestOverflowingStage:
+    """An exponential stage tau B_j that overflows from a finite t0 and tau is a
+    StepFailure of the step, not ExpmPlan's ValueError for a caller's non-finite matrix."""
+
+    @pytest.mark.parametrize("variant", ["taylor", "hermite"])
+    @pytest.mark.parametrize("name", ["expmid", "cf4", "magnus4"])
+    def test_is_a_step_failure(self, name, variant):
+        # RandomFamily's coefficient t^2 - 1/2 overflows from t0 = 1e300; GrowingFamily's
+        # tau (1 + t) at tau = +-1e300
+        method = make_method(name, variant=variant)
+        cases = [(RandomFamily(np.random.default_rng(16), 3), 1e300, 0.1),
+                 (GrowingFamily(), 0.0, 1e300), (GrowingFamily(), 0.0, -1e300)]
+        for problem, t0, tau in cases:
+            u0 = problem.initial_state()
+            for call in (lambda: method.step(problem, t0, tau, u0),
+                         lambda: method.step_with_defect(problem, t0, tau, u0)):
+                with pytest.raises(StepFailure, match="exponential stage is not finite"):
+                    call()
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            ExpmPlan(np.array([[0.0, np.inf], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("name", ["expmid", "cf4", "magnus4"])
+    def test_an_adaptive_trial_that_overflows_is_rejected(self, name):
+        # a nilpotent generator of entry 1e300, whose stage tau B_j overflows above
+        # tau = 1.8e8, and a state in its kernel, which every step keeps exactly: the
+        # first trial (tau = 1e9) is rejected with an infinite estimate and the run goes
+        # on with a quarter of it (it used to abort the run with ExpmPlan's ValueError)
+        problem = ConstantLinear(np.array([[0.0, 1e300], [0.0, 0.0]]))
+        u0 = np.array([1.0, 0.0], dtype=np.complex128)
+        config = AdaptiveConfig(tol=1e-8, tau_init=1e9, tau_max=1e9)
+        u, records = adaptive_integrate(problem, make_method(name), config, 0.0, 1e9, u0)
+        assert records[0] == StepRecord(0.0, 1e9, math.inf, False)
+        assert records[1].tau == 2.5e8 and records[-1].accepted
+        assert u.tobytes() == u0.tobytes()
 
 
 # every pairing make_method allows, (name, defect, variant, problem), on small problems;

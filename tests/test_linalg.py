@@ -14,7 +14,7 @@ from symdefect import linalg
 from symdefect.errors import StepFailure
 from symdefect.linalg import ExpmPlan, commutator, expm, fft, ifft
 from symdefect.problems import RosenZener
-from symdefect.schemes import CF4, EXPMID_AS_CFM, MAGNUS4, _stage_plans
+from symdefect.schemes import CF4, EXPMID_AS_CFM, MAGNUS4
 
 from oracles import (
     ConstantLinear,
@@ -173,7 +173,7 @@ class TestExpmAction:
 
 class TestExpmPlan:
     def test_norm_is_the_1_norm_bitwise(self):
-        # the plan's own column sums of |m|, and the norm a family's stage passes
+        # the plan's own column sums of |m|, and the norm a family's stages pass
         # in from its support (here m's nonzero entries), give the bits of
         # np.linalg.norm(m, 1); a non-finite norm passed in is rejected
         rng = np.random.default_rng(16)
@@ -182,7 +182,7 @@ class TestExpmPlan:
             m[rng.random((n, n)) < 0.7] = 0.0
             expected = np.linalg.norm(m, 1)
             assert ExpmPlan(m).norm == expected
-            _, plan, _ = ConstantLinear(m).stage(np.ones(1), 1.0)
+            (_, plan, _), = ConstantLinear(m).stages(EXPMID_AS_CFM, 0.0, 1.0)  # B_1 = 1.0 m
             assert plan.norm == expected
             assert np.array_equal(plan.matrix, m)
         for bad in (np.nan, np.inf):
@@ -325,7 +325,7 @@ class TestTaylorSeries:
         done = 0
         for tau in (1 / 64, 1 / 16, 1 / 4, 1 / 2, 1.0):
             for t0 in (0.0, 0.3, 0.7, -2.0):
-                for _, plan, _ in _stage_plans(scheme, prob, t0, tau):
+                for _, plan, _ in prob.stages(scheme, t0, tau):
                     for v in states:
                         self.check_plan(plan, v)
                         done += 1

@@ -1,5 +1,6 @@
 """Problem definitions: subflows, derivatives, closed forms, invariants."""
 
+import copy
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +21,7 @@ from symdefect.problems import (
     make_problem,
     soliton_value,
 )
-from symdefect.schemes import EMB43AKS, step_splitting
+from symdefect.schemes import EMB43AKS, CFMScheme, step_splitting
 
 from oracles import (
     ConstantLinear,
@@ -33,6 +34,7 @@ from oracles import (
     nls_dflow_B_and_flow_pair,
     nls_flow_A_full,
     rk4,
+    stage_coefficients_numpy,
 )
 
 
@@ -486,6 +488,10 @@ class TestRosenZener:
             assert zener.dcoefficients(t).tobytes() == slopes.tobytes()
 
 
+# one stage B_1 = A(t0 + tau), Bcheck_1 = A'(t0 + tau) / 2: each drawn vector as one stage
+_PROBE = CFMScheme("probe", (1.0,), ((1.0,),), 2)
+
+
 def _families():
     rng = np.random.default_rng(40)
     return [RosenZener(), RosenZener(k=3), RandomFamily(rng, 6), ZeroGeneratorFamily(rng, 5),
@@ -536,21 +542,29 @@ class TestLinearFamily:
 
     @pytest.mark.parametrize("family", _families(), ids=FAMILY_IDS)
     def test_scale_is_the_dense_product_and_its_1_norm(self, family):
-        # stage writes B_j, tau B_j and Bcheck_j into the same slots each time,
+        # stages writes B_j, tau B_j and Bcheck_j into the same slots each time,
         # so they stay zero off the support: B_j and Bcheck_j bitwise the dense
         # products, tau B_j bitwise on the support; off it a negative tau leaves
-        # +0 where the dense product has -0, so tau B_j is compared as numbers there
+        # +0 where the dense product has -0, so tau B_j is compared as numbers there.
+        # A copy of the family samples each drawn pair (b, c) of equal length as its
+        # coefficients and slopes, which a one-node tableau at c_1 = 1 with weight 1
+        # turns into one stage of coefficients 0 + 1.0 b and 0.0 + 0.5 c
         rng = np.random.default_rng(42)
         vectors = self.coefficient_vectors(family, rng)
-        for b, c in zip(vectors, [None] + vectors[:0:-1]):  # the first stage without Bcheck_j
+        for i, b in enumerate(vectors):  # c another drawn vector of b's length, none for the first
+            mates = [v for j, v in enumerate(vectors) if len(v) == len(b) and j != i]
+            c = mates[-i % len(mates)] if i else None
+            probe = copy.copy(family)
+            probe.coefficients, probe.dcoefficients = (lambda t: b), (lambda t: c)
             for tau in (0.25, -0.25, 1.0 / 64.0, 0.0, -3.0):
-                bj, plan, bcheck = family.stage(b, tau, c)
-                assert bj.tobytes() == dense_combination(family, b).tobytes()
+                (bj, plan, bcheck), = probe.stages(_PROBE, 0.0, tau, c is not None)
+                (b_np, c_np), = stage_coefficients_numpy(_PROBE, probe, 0.0, tau, c is not None)
+                assert bj.tobytes() == dense_combination(family, b_np).tobytes()
                 if c is None:
                     assert bcheck is None
                 else:
-                    assert bcheck.tobytes() == dense_combination(family, c).tobytes()
-                expected = np.multiply(dense_combination(family, b), tau)
+                    assert bcheck.tobytes() == dense_combination(family, c_np).tobytes()
+                expected = np.multiply(dense_combination(family, b_np), tau)
                 assert np.array_equal(plan.matrix, expected)
                 nonzero = expected != 0
                 assert plan.matrix[nonzero].tobytes() == expected[nonzero].tobytes()

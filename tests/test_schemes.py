@@ -32,6 +32,7 @@ from oracles import (
     BFreeSemilinear,
     ConstantLinear,
     LinearScalar,
+    MatrixUnitFamily,
     RandomFamily,
     ScalarQuadratic,
     ZeroField,
@@ -347,17 +348,24 @@ class TestExponentialSteppers:
         assert c1 < c2 and abs(c1 + c2 - 1.0) <= 1e-15
 
 
-def _record_stages(prob):
-    """Wrap ``prob.stage`` to record the coefficient vectors (b, c) each stage
-    hands it; returns the list the calls append to."""
-    calls, stage = [], prob.stage
-
-    def recorded(b, tau, c=None):
-        calls.append((b, c))
-        return stage(b, tau, c)
-
-    prob.stage = recorded
-    return calls
+def _check_stages(scheme, prob, t0, tau, derivatives, v=None):
+    """Each stage ``prob.stages`` yields against the dense products of the
+    numpy coefficient sums of tests/oracles.py, bit for bit: B_j and Bcheck_j
+    (None exactly where the sums give none), tau B_j as numbers (see
+    TestLinearFamily) and its 1-norm; given v, the plan applies bit for bit."""
+    expected = stage_coefficients_numpy(scheme, prob, t0, tau, derivatives)
+    for (bj, plan, bcheck), (b, c) in zip(prob.stages(scheme, t0, tau, derivatives), expected,
+                                          strict=True):
+        dense = dense_combination(prob, b)
+        assert bj.tobytes() == dense.tobytes()
+        scaled = np.multiply(dense, tau)
+        assert np.array_equal(plan.matrix, scaled)
+        assert np.float64(plan.norm).tobytes() == np.float64(dense_norm_1(scaled)).tobytes()
+        if v is not None:
+            assert plan.apply(v).tobytes() == ExpmPlan(scaled).apply(v).tobytes()
+        assert (bcheck is None) == (c is None)
+        if c is not None:
+            assert bcheck.tobytes() == dense_combination(prob, c).tobytes()
 
 
 class TestStagePlansBitwise:
@@ -368,49 +376,30 @@ class TestStagePlansBitwise:
     def test_stages_match_the_dense_products(self, scheme):
         # Rosen-Zener, a family whose support is every entry and one with a
         # zero generator; a negative tau, and a zero coefficient (expmid's
-        # midpoint at t = 0, where f2 = 0). tau B_j equals the dense product
-        # as numbers (see TestLinearFamily) and its plan applies bit for bit
+        # midpoint at t = 0, where f2 = 0); each plan applied to a random state
         rng = np.random.default_rng(43)
         grid = [(0.0, 1 / 16), (0.3, 0.25), (-2.0, 1.0), (0.7, -0.25), (-0.125, 0.25)]
         for prob in (RosenZener(), RandomFamily(rng, 6), ZeroGeneratorFamily(rng, 5)):
-            v, calls = random_state(rng, prob.dim), _record_stages(prob)
+            v = random_state(rng, prob.dim)
             for t0, tau in grid:
-                for bj, plan, bcheck in schemes._stage_plans(scheme, prob, t0, tau, True):
-                    (b, c), = calls  # this stage's one call
-                    calls.clear()
-                    expected = dense_combination(prob, b)
-                    assert bj.tobytes() == expected.tobytes()
-                    scaled = np.multiply(expected, tau)
-                    assert np.array_equal(plan.matrix, scaled)
-                    assert np.float64(plan.norm).tobytes() == np.float64(dense_norm_1(scaled)).tobytes()
-                    assert plan.apply(v).tobytes() == ExpmPlan(scaled).apply(v).tobytes()
-                    assert (bcheck is None) == (c is None)
-                    if c is not None:
-                        assert bcheck.tobytes() == dense_combination(prob, c).tobytes()
+                _check_stages(scheme, prob, t0, tau, True, v)
 
 
 class TestStageCoefficientsBitwise:
-    """The stage coefficients, summed on Python floats and handed to
-    ``problem.stage``, against the numpy sums of tests/oracles.py, bit for bit."""
+    """The stage coefficients, summed on Python floats by ``LinearFamily.stages``,
+    against the numpy sums of tests/oracles.py through their dense products, bit for bit."""
 
     @pytest.mark.parametrize("scheme", [EXPMID_AS_CFM, CF4, MAGNUS4], ids=["expmid", "cf4", "magnus4"])
     def test_coefficients_match_the_numpy_sums(self, scheme):
-        # Rosen-Zener and a family of three generators, whose three brackets
-        # pin the pair order; zero and negative steps, with and without derivatives
+        # Rosen-Zener and two families of three generators, whose three brackets
+        # pin the pair order; on the matrix units every stage matrix holds its
+        # coefficients themselves. Zero and negative steps, with and without derivatives
         rng = np.random.default_rng(44)
         grid = [(0.0, 0.0), (0.0, 1 / 16), (0.3, 0.25), (-2.0, 1.0), (0.7, -0.25), (5.0, 3.3),
                 (-0.125, -1e-9)]
-        for prob in (RosenZener(), RandomFamily(rng, 4)):
-            got = _record_stages(prob)
+        for prob in (RosenZener(), RandomFamily(rng, 4), MatrixUnitFamily()):
             for (t0, tau), derivatives in itertools.product(grid, (False, True)):
-                got.clear()
-                list(schemes._stage_plans(scheme, prob, t0, tau, derivatives))
-                expected = stage_coefficients_numpy(scheme, prob, t0, tau, derivatives)
-                for (b, c), (b_np, c_np) in zip(got, expected, strict=True):
-                    assert b.dtype == b_np.dtype and b.tobytes() == b_np.tobytes()
-                    assert (c is None) == (c_np is None)
-                    if c is not None:
-                        assert c.dtype == c_np.dtype and c.tobytes() == c_np.tobytes()
+                _check_stages(scheme, prob, t0, tau, derivatives)
 
 
 class TestReversibility:
