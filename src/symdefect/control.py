@@ -300,7 +300,7 @@ def local_error_integral_oracle(
         raise ValueError(f"kind {kind!r} is not {method.name}'s defect kind {method.defect!r}")
     share = _share(method.defect)
     for name, value in (("quad_nodes", quad_nodes), ("ode_steps", ode_steps)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     u0 = np.asarray(u0, dtype=np.complex128)
     n = u0.shape[0]

@@ -10,6 +10,7 @@ its conjugate may both enter.
 
 import math
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,11 @@ def _unit_phase(y):  # exp(i y) for real y, bit for bit np.exp of the complex 0 
     return out
 
 
+def _mirrored(half):  # modes 0..n/2 on all n modes, read-only: k^2 is bitwise even
+    (full := np.concatenate((half, half[-2:0:-1]))).flags.writeable = False
+    return full
+
+
 def _re_dot(u, v):
     # componentwise Re(conj(u) * v); _re_dot(u, u) is |u|^2 without abs()'s square root
     return u.real * v.real + u.imag * v.imag
@@ -59,9 +65,9 @@ class CubicNLS:
     * the B-subflow conserves the modulus of every component, so it reduces
       to the phase rotation u_m -> exp(i t |u_m|^2) u_m.
 
-    ``flow_A(t, (d, u), weight)`` adds weight * A exp(tA) u to the moved d; it keeps the
-    phases exp(-i k^2 t / 2) (cos/sin pairs of modes 0..n/2, mirrored: k^2 is bitwise even)
-    and factors -i weight k^2 / 2 of its last few t and weights, read-only, oldest out first.
+    ``flow_A(t, (d, u), weight)`` adds weight * A exp(tA) u to the moved d; two LRU caches of
+    8 read-only arrays each, ``_phase(t)`` = exp(-i k^2 t / 2) (cos/sin of modes 0..n/2, mirrored:
+    k^2 is bitwise even) and ``_factor(weight)`` = -i weight k^2 / 2, count in ``cache_info()``.
     One |u|^2 serves ``dflow_B_and_flow(t, u, v, weight)``'s (moved v + weight B(u), flowed u).
 
     `initial` selects the start state: "soliton" samples the exact soliton
@@ -82,7 +88,9 @@ class CubicNLS:
         self.n = n
         self.x = -16.0 + 32.0 * np.arange(n) / n
         self._half_ksq = 0.5 * ((2.0 * np.pi / 32.0) * np.fft.fftfreq(n, 1.0 / n)) ** 2
-        self._phases, self._factors = {}, {}  # t -> exp(-i t k^2 / 2), w -> -i w k^2 / 2
+        half = self._half_ksq[: n // 2 + 1]  # LRU memos: t -> exp(-i t k^2 / 2), w -> -i w k^2 / 2
+        self._phase = lru_cache(self._PHASE_MEMO)(lambda t: _mirrored(_unit_phase(0.0 - t * half)))
+        self._factor = lru_cache(self._PHASE_MEMO)(lambda w: _mirrored((-1j * w) * half))
         self.initial = initial
         self._two_soliton = tuple(zip(carriers, centers))
         # discrete L2 norm weight sqrt(h); error tables are stated in this norm
@@ -93,22 +101,11 @@ class CubicNLS:
     def apply_A(self, u):
         return ifft(-1j * self._half_ksq * fft(u))
 
-    def _kept(self, memo, key, make):  # read-only make(k^2/2 of modes 0..n/2), mirrored: k^2 is even
-        value = memo.get(key)  # one read: a concurrent eviction costs a recompute
-        if value is None:
-            while len(memo) >= self._PHASE_MEMO:  # oldest first; a snapshot, as threads insert too
-                memo.pop(next(iter(tuple(memo)), None), None)
-            half = make(self._half_ksq[: self.n // 2 + 1])
-            value = memo[key] = np.concatenate((half, half[-2:0:-1]))
-            value.flags.writeable = False
-        return value
-
     def flow_A(self, t, u, weight=0.0):  # 0.0 - t k^2/2: the +0 of -1j * t * k^2 where t k^2 is 0
-        phase = self._kept(self._phases, t, lambda h: _unit_phase(0.0 - t * h))
         spec = fft(u)
-        np.multiply(phase, spec, out=spec)  # phase first: not bitwise commutative
+        np.multiply(self._phase(t), spec, out=spec)  # phase first: not bitwise commutative
         if weight:
-            spec[0] += self._kept(self._factors, weight, lambda h: (-1j * weight) * h) * spec[1]
+            spec[0] += self._factor(weight) * spec[1]
         return ifft(spec)
 
     # -- nonlinear part ----------------------------------------------------
@@ -220,24 +217,25 @@ class LinearFamily:
                   for t, sk in zip(times, shifts)]
         comm = bracket(coeffs[0], coeffs[1]) if any(g) else None  # [A_1, A_2]
         for row, gj in zip(scheme.weights, g):
-            head = [sum(ajk * c for ajk, c in zip(row, column)) for column in zip(*coeffs)]
-            b = np.array(head + [gj * tau * x for x in comm] if gj else head)
-            np.put(bj, self._support, values := b @ self._values[: len(b)])
-            np.put(scaled, self._support, values := np.multiply(values, tau))
-            norm = float(np.bincount(self._columns, np.abs(values), minlength=len(bj)).max())
-            if not norm < math.inf:  # NaN too
-                raise StepFailure(f"exponential stage is not finite at t0 = {t0!r}, tau = {tau!r}")
-            bcheck, weights = None, [ajk * sk for ajk, sk in zip(row, shifts)]
-            if derivatives and (gj or any(weights)):
-                terms = [(w, dk) for w, dk in zip(weights, slopes) if w]
-                dcoef = [sum((w * dk[i] for w, dk in terms), 0.0) for i in range(len(head))]
-                if gj:
-                    tail, (c1, c2), (s1, s2), (d1, d2) = comm, coeffs, shifts, slopes
-                    for s, pair in ((s1, (d1, c2)), (s2, (c1, d2))):
-                        if s:
-                            tail = [x + (tau * s) * y for x, y in zip(tail, bracket(*pair))]
-                    dcoef += [gj * x for x in tail]
-                np.put(bcheck := check, self._support, np.array(dcoef) @ self._values[: len(dcoef)])
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow fails below, unwarned
+                head = [sum(ajk * c for ajk, c in zip(row, column)) for column in zip(*coeffs)]
+                b = np.array(head + [gj * tau * x for x in comm] if gj else head)
+                np.put(bj, self._support, values := b @ self._values[: len(b)])
+                np.put(scaled, self._support, values := np.multiply(values, tau))
+                norm = float(np.bincount(self._columns, np.abs(values), minlength=len(bj)).max())
+                if not norm < math.inf:  # NaN too
+                    raise StepFailure(f"exponential stage is not finite at t0 = {t0!r}, tau = {tau!r}")
+                bcheck, weights = None, [ajk * sk for ajk, sk in zip(row, shifts)]
+                if derivatives and (gj or any(weights)):
+                    terms = [(w, dk) for w, dk in zip(weights, slopes) if w]
+                    dcoef = [sum((w * dk[i] for w, dk in terms), 0.0) for i in range(len(head))]
+                    if gj:
+                        tail, (c1, c2), (s1, s2), (d1, d2) = comm, coeffs, shifts, slopes
+                        for s, pair in ((s1, (d1, c2)), (s2, (c1, d2))):
+                            if s:
+                                tail = [x + (tau * s) * y for x, y in zip(tail, bracket(*pair))]
+                        dcoef += [gj * x for x in tail]
+                    np.put(bcheck := check, self._support, np.array(dcoef) @ self._values[: len(dcoef)])
             yield bj, ExpmPlan(scaled, norm), bcheck
 
     def A(self, t):
@@ -266,7 +264,8 @@ class RosenZener(LinearFamily):
     def __init__(self, k=50, omega=0.5, pulse_duration=1.0, amplitude=1.0):
         field = self.omega, self.pulse_duration, self.amplitude = (
             float(omega), float(pulse_duration), float(amplitude))
-        if not (float(k).is_integer() and k >= 1 and np.isfinite(field).all() and self.pulse_duration):
+        if isinstance(k, (bool, np.bool_)) or not (
+                float(k).is_integer() and k >= 1 and np.isfinite(field).all() and self.pulse_duration):
             raise ValueError(
                 "RosenZener requires a positive integer k, a finite nonzero pulse_duration and "
                 f"finite omega and amplitude, got k={k!r}, omega={omega!r}, "

@@ -58,7 +58,7 @@ class CFMScheme:
     commutators: tuple = ()
 
 
-_SQRT3 = np.sqrt(3.0)
+_SQRT3 = math.sqrt(3.0)  # a float: numpy scalars warn where floats overflow silently
 
 #: Two-point Gauss nodes on [0, 1], c1 < c2.
 GAUSS2_NODES = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)

@@ -30,6 +30,7 @@ from symdefect.control import (
 from symdefect.errors import ConvergenceFailure, StepFailure
 from symdefect.linalg import ExpmPlan
 from symdefect.problems import CubicNLS, RosenZener, ToySplit
+from symdefect.schemes import CF4, EXPMID_AS_CFM, MAGNUS4
 
 from oracles import (
     ConstantLinear,
@@ -230,6 +231,19 @@ class TestOverflowingStage:
                     call()
         with pytest.raises(ValueError, match="matrix has non-finite entries"):
             ExpmPlan(np.array([[0.0, np.inf], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("derivatives", [False, True], ids=["plain", "derivatives"])
+    @pytest.mark.parametrize("t0, tau", [(0.0, 1e300), (0.0, -1e300), (1.7e308, 1e308)],
+                             ids=["tau", "negative-tau", "node-time-overflows"])
+    @pytest.mark.parametrize("scheme", [EXPMID_AS_CFM, CF4, MAGNUS4], ids=["expmid", "cf4", "magnus4"])
+    def test_a_stage_read_directly_fails_without_a_warning(self, scheme, t0, tau, derivatives):
+        # outside a stepper's errstate, LinearFamily.stages warned of the overflow in
+        # tau B_j (and magnus4 of the one in g_j tau [A_1, A_2], cf4 and magnus4 of an
+        # overflowing Gauss node time t0 + c_k tau) before its StepFailure
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailure, match="exponential stage is not finite"):
+                next(GrowingFamily().stages(scheme, t0, tau, derivatives))
 
     @pytest.mark.parametrize("name", ["expmid", "cf4", "magnus4"])
     def test_an_adaptive_trial_that_overflows_is_rejected(self, name):
@@ -668,10 +682,12 @@ class TestIntegralOracle:
 
     @pytest.mark.parametrize(
         "discretisation",
-        [{"quad_nodes": 0}, {"ode_steps": 0}, {"ode_steps": -4}, {"quad_nodes": 2.5}],
-        ids=["no-nodes", "no-steps", "negative-steps", "fractional-nodes"],
+        [{"quad_nodes": 0}, {"ode_steps": 0}, {"ode_steps": -4}, {"quad_nodes": 2.5},
+         {"quad_nodes": True}, {"ode_steps": True}],
+        ids=["no-nodes", "no-steps", "negative-steps", "fractional-nodes", "bool-nodes", "bool-steps"],
     )
     def test_degenerate_discretisation_raises(self, discretisation):
+        # a bool is no count: True used to run the oracle on 1 node or 1 RK4 step
         with pytest.raises(ValueError, match="positive integer"):
             local_error_integral_oracle(
                 ScalarQuadratic(), make_method("imr"), 0.1, np.ones(1, complex),

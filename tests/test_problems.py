@@ -8,7 +8,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from symdefect import problems
 from symdefect.control import AdaptiveConfig, adaptive_integrate, make_method
 from symdefect.errors import StepFailure
 from symdefect.linalg import fft, ifft
@@ -165,16 +164,6 @@ class TestCubicNLS:
 CRITERION_9 = AdaptiveConfig(tol=1e-10, tau_init=1e-2, tau_min=1e-8, tau_max=0.25)
 
 
-class CountingDict(dict):
-    """A memo that counts its stores."""
-
-    stores = 0
-
-    def __setitem__(self, key, value):
-        self.stores += 1
-        super().__setitem__(key, value)
-
-
 def random_stack(seed, n=64):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
@@ -182,7 +171,8 @@ def random_stack(seed, n=64):
 
 class TestPhaseMemo:
     """CubicNLS keeps the A-phases exp(-i t k^2 / 2) of its last few sub-steps t
-    and the factors -i w k^2 / 2 of its last few stage weights w."""
+    and the factors -i w k^2 / 2 of its last few stage weights w in two LRU
+    caches, ``_phase`` and ``_factor``; their ``cache_info()`` counts the work."""
 
     @pytest.mark.parametrize("weight", [0.0, -0.36], ids=["state", "weighted-stack"])
     def test_hit_is_bitwise_a_miss(self, weight):
@@ -190,8 +180,8 @@ class TestPhaseMemo:
         u = stack if weight else stack[0]
         warm = CubicNLS(n=64)
         first = warm.flow_A(0.27, u, weight)
-        assert 0.27 in warm._phases
         hit = warm.flow_A(0.27, u, weight)
+        assert warm._phase.cache_info()[:2] == (1, 1)  # (hits, misses): 0.27 was kept
         miss = CubicNLS(n=64).flow_A(0.27, u, weight)
         assert np.array_equal(first, miss) and np.array_equal(hit, miss)
         if not weight:  # the phase-first product the A-flow made before it kept phases
@@ -201,7 +191,8 @@ class TestPhaseMemo:
         nls = CubicNLS(n=64)
         stack = random_stack(8)
         outputs = [nls.flow_A(0.1, stack[0]), nls.flow_A(0.1, stack, 0.5), nls.flow_A(0.1, stack[1])]
-        (phase,) = nls._phases.values()
+        assert nls._phase.cache_info().currsize == 1
+        phase = nls._phase(0.1)
         assert not phase.flags.writeable
         with pytest.raises(ValueError):
             phase[0] = 0.0
@@ -210,51 +201,71 @@ class TestPhaseMemo:
     def test_memo_stays_bounded(self):
         nls = CubicNLS(n=64)
         u = random_stack(9)[0]
+        assert nls._phase.cache_info().maxsize == nls._factor.cache_info().maxsize == CubicNLS._PHASE_MEMO
         for i in range(100):
             nls.flow_A(1e-3 * (i + 1), u)
-            assert len(nls._phases) <= CubicNLS._PHASE_MEMO
+            assert nls._phase.cache_info().currsize <= CubicNLS._PHASE_MEMO
         # a repeated tableau's sub-steps all stay: emb43aks has 3 per step size
-        nls._phases.clear()
+        nls._phase.cache_clear()
         for tau in (0.1, 0.05):
             for a in EMB43AKS.a:
                 nls.flow_A(a * tau, u)
-        assert len(nls._phases) == 6
+        assert nls._phase.cache_info().currsize == 6
         # and a joined run's 4 (a_1 tau, a_2 tau, a_3 tau and 2 a_1 tau) at two step
         # sizes, 0.03 so that no 2 a_1 tau is the other's a_1 tau
-        nls._phases.clear()
+        nls._phase.cache_clear()
         for tau in (0.1, 0.03):
             step_splitting(EMB43AKS, nls, tau, u, 3)
-        assert len(nls._phases) == 8 == CubicNLS._PHASE_MEMO
+        assert nls._phase.cache_info().currsize == 8 == CubicNLS._PHASE_MEMO
 
-    def test_eviction_is_oldest_first(self):
+    def test_eviction_is_least_recently_used(self):
         nls = CubicNLS(n=64)
         u = random_stack(9)
         times = [1e-3 * (i + 1) for i in range(20)]
         for t in times:
             nls.flow_A(t, u, t + 1.0)
-        assert list(nls._phases) == times[-CubicNLS._PHASE_MEMO :]
-        assert list(nls._factors) == [t + 1.0 for t in times[-CubicNLS._PHASE_MEMO :]]
+        # the last 8 stay, oldest out first: 8 hits in kept order, then a new key
+        # evicts the oldest of them, which misses again
+        for memo, keys in ((nls._phase, times), (nls._factor, [t + 1.0 for t in times])):
+            misses = memo.cache_info().misses
+            for key in keys[-CubicNLS._PHASE_MEMO :]:
+                memo(key)
+            assert memo.cache_info().misses == misses
+            memo(-1.0)
+            memo(keys[-CubicNLS._PHASE_MEMO])
+            assert memo.cache_info().misses == misses + 2
+        # a hit renews a key: the oldest, once read, outlives the next one in
+        nls.flow_A(times[0], u)
+        nls.flow_A(times[1], u)
+        nls.flow_A(times[0], u)
+        for t in times[2 : 2 + CubicNLS._PHASE_MEMO - 1]:
+            nls.flow_A(t, u)
+        misses = nls._phase.cache_info().misses
+        nls.flow_A(times[0], u)
+        assert nls._phase.cache_info().misses == misses
+        nls.flow_A(times[1], u)
+        assert nls._phase.cache_info().misses == misses + 1
         # so a trial's sub-steps a_1 tau, a_2 tau, a_3 tau, a_2 tau, a_1 tau all
         # stay once made, however full the memo was: 3 phases a trial
-        nls._phases = CountingDict()
+        misses = nls._phase.cache_info().misses
         for tau in (0.1 / (i + 1) for i in range(20)):
             for a in EMB43AKS.a:
                 nls.flow_A(a * tau, u, a)
-        assert nls._phases.stores == 3 * 20
+        assert nls._phase.cache_info().misses - misses == 3 * 20
 
     def test_factors_are_read_only_never_returned_and_bounded(self):
         nls = CubicNLS(n=64)
         stack = random_stack(11)
         outputs = [nls.flow_A(0.1, stack, w) for w in (0.5, -0.25, 0.5)]
-        assert list(nls._factors) == [0.5, -0.25]
-        for factor in nls._factors.values():
+        assert nls._factor.cache_info()[:2] == (1, 2)  # (hits, misses): 0.5 and -0.25, kept
+        for factor in map(nls._factor, (0.5, -0.25)):
             assert not factor.flags.writeable
             with pytest.raises(ValueError):
                 factor[0] = 0.0
             assert not any(np.shares_memory(out, factor) for out in outputs)
         for i in range(100):
             nls.flow_A(0.1, stack, 1e-3 * (i + 1))
-            assert len(nls._factors) <= CubicNLS._PHASE_MEMO
+            assert nls._factor.cache_info().currsize <= CubicNLS._PHASE_MEMO
 
     @pytest.mark.parametrize("n", [1, 2, 64, 512])
     def test_factor_hit_is_bitwise_a_miss(self, n):
@@ -264,9 +275,10 @@ class TestPhaseMemo:
                 miss = CubicNLS(n=n).flow_A(0.27, stack, w).tobytes()
                 first = warm.flow_A(0.27, stack, w).tobytes()
                 assert first == miss == warm.flow_A(0.27, stack, w).tobytes(), w
-        assert list(warm._factors) == [w for w in STAGE_WEIGHTS if w]
-        for w, factor in warm._factors.items():  # the product each stage formed before
-            assert factor.tobytes() == ((-1j * w) * warm._half_ksq).tobytes(), w
+        weights = [w for w in STAGE_WEIGHTS if w]
+        assert warm._factor.cache_info().misses == warm._factor.cache_info().currsize == len(weights)
+        for w in weights:  # the product each stage formed before
+            assert warm._factor(w).tobytes() == ((-1j * w) * warm._half_ksq).tobytes(), w
 
     def test_concurrent_readers_agree_with_a_fresh_problem(self):
         # more sub-steps and weights than the memos hold, so the threads evict
@@ -292,31 +304,15 @@ class TestPhaseMemo:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_an_adaptive_trial_makes_three_phases_and_no_factor_twice(self, monkeypatch):
+    def test_an_adaptive_trial_makes_three_phases_and_no_factor_twice(self):
         # criterion 9's run to t = 1: each trial's 5 A-stages use 3 sub-steps and
-        # 3 stage weights; count the half-spectrum phases and the weight factors
-        # (products of a complex weight with k^2/2) the run computes
+        # 3 stage weights; the caches count the phases and weight factors the run computes
         nls = CubicNLS(initial="two-soliton")
-        counts = {"phases": 0, "factors": 0}
-        unit_phase = problems._unit_phase
-
-        def counted_phase(y):
-            counts["phases"] += np.shape(y) == (nls.n // 2 + 1,)
-            return unit_phase(y)
-
-        class CountedKsq(np.ndarray):
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                counts["factors"] += ufunc is np.multiply and any(isinstance(x, complex) for x in inputs)
-                inputs = [x.view(np.ndarray) if isinstance(x, CountedKsq) else x for x in inputs]
-                return getattr(ufunc, method)(*inputs, **kwargs)
-
-        monkeypatch.setattr(problems, "_unit_phase", counted_phase)
-        nls._half_ksq = nls._half_ksq.view(CountedKsq)
         _, trace = adaptive_integrate(
             nls, make_method("emb43aks"), CRITERION_9, 0.0, 1.0, nls.initial_state())
         assert len(trace) > 100
-        assert counts["phases"] == 3 * len(trace)
-        assert counts["factors"] <= 3
+        assert nls._phase.cache_info().misses == 3 * len(trace)
+        assert 0 < nls._factor.cache_info().misses <= 3 < nls._factor.cache_info().hits
 
     def test_a_warm_problem_runs_bitwise_as_a_cold_one(self):
         # a problem whose memos an earlier run filled, the first trial's phases and
@@ -330,7 +326,8 @@ class TestPhaseMemo:
         warm = CubicNLS(initial="two-soliton")
         adaptive_integrate(warm, method, CRITERION_9, 1.0, 1.5, warm.initial_state())
         method.step_with_defect(warm, 0.0, CRITERION_9.tau_init, warm.initial_state())
-        assert len(warm._phases) == CubicNLS._PHASE_MEMO and len(warm._factors) == 3
+        assert warm._phase.cache_info().currsize == CubicNLS._PHASE_MEMO
+        assert warm._factor.cache_info().currsize == 3
         assert run(warm) == run(CubicNLS(initial="two-soliton"))
 
 
@@ -464,13 +461,19 @@ class TestRosenZener:
             {"k": np.nan},
             {"omega": np.nan},
             {"amplitude": -np.inf},
+            {"k": True},
+            {"k": np.True_},
         ],
         ids=["T0-zero", "T0-inf", "k-fraction", "k-zero", "k-negative", "k-nan", "omega-nan",
-             "amplitude-inf"],
+             "amplitude-inf", "k-bool", "k-numpy-bool"],
     )
     def test_malformed_parameters_are_value_errors(self, params):
+        # a bool k used to build the k = 1 problem, as CubicNLS(n=True) does not
         with pytest.raises(ValueError, match="RosenZener requires a positive integer k"):
             RosenZener(**params)
+
+    def test_a_whole_float_k_is_accepted(self):
+        assert RosenZener(k=2.0).k == 2 and RosenZener(k=np.int64(3)).dim == 6
 
     def test_coefficients_are_the_closed_forms_bitwise(self):
         # cosh overflows only at |t / T0| >= 710, where sech is 0 or subnormal: the
